@@ -14,9 +14,8 @@ vet:
 # cmd/cfslint): deterministic map iteration, sanctioned clocks/RNG,
 # single-source probe accounting, nil-safe observability, fenced facset
 # algebra, plus the flow-aware serving invariants — one System.Current()
-# load per request scope (snapconsist), cache epochs derived from
-# Mapping.Epoch() with advance reachable from the Apply swap (epochkey),
-# a provable termination edge on every daemon goroutine (goleak), and
+# load per request scope (snapconsist), a provable termination edge on
+# every daemon goroutine (goleak), and
 # allocation-free //cfslint:hotpath functions (hotalloc). CI also runs
 # `cfslint -json` and archives the machine-readable report. Also runs as
 # a vet tool:
@@ -68,7 +67,8 @@ experiments:
 
 # End-to-end daemon smoke: boot cfsd on the small profile, drive the
 # query API and one delta batch over HTTP, append to a followed churn
-# log, and assert epoch advance + cache swap + graceful SIGTERM drain.
+# log, and assert epoch advance, byte-identical repeat responses and a
+# graceful SIGTERM drain.
 # Needs curl and jq.
 serve-smoke:
 	./scripts/serve_smoke.sh
@@ -78,5 +78,8 @@ fuzz:
 	go test -fuzz FuzzIPRoundTrip -fuzztime 30s ./internal/netaddr/
 	go test -fuzz FuzzParsePrefix -fuzztime 30s ./internal/netaddr/
 	go test -fuzz FuzzParse -fuzztime 30s ./internal/trace/
+	go test -fuzz FuzzDecoderBatch -fuzztime 30s ./internal/delta/
+	go test -fuzz FuzzParseASPair -fuzztime 30s ./internal/serve/
+	go test -fuzz FuzzBatchBody -fuzztime 30s ./internal/serve/
 
 check: vet lint build test race

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"runtime"
@@ -16,18 +17,14 @@ import (
 )
 
 // measureServe benchmarks the daemon's query path (-serve): one
-// converged system, one fixed request mix — snapshot digests,
-// interface lookups, AS-pair interconnection queries — played against
-// two servers sharing that system. The cold server has its epoch cache
-// disabled, so every query renders from the snapshot's materialized
-// tables; the hot server is warmed first, so every timed query is a
-// cache hit. The ratio is the value of the epoch cache in steady
-// state, which -min-serve-speedup turns into a gate.
-//
-// The hot pass also reports allocations per query (runtime.MemStats
-// deltas around the timed loop, gated by -max-hot-allocs), and two
-// bulk shapes ride the same system: one POST /v1/interfaces:batch of N
-// addresses against the per-request loop of the same N lookups
+// converged system behind one server built with the options cfsd
+// ships, and one fixed request mix — snapshot digests, interface
+// lookups, AS-pair interconnection queries — every query rendered from
+// the snapshot's materialized tables. The pass reports nanoseconds and
+// allocations per query (runtime.MemStats deltas around the timed
+// loop; -max-hot-allocs gates the allocations). Two bulk shapes ride
+// the same server: one POST /v1/interfaces:batch of N addresses against
+// the per-request loop of the same N lookups
 // (serve_batch_amortization_x, gated by -min-batch-amortization), and
 // the GET /v1/interfaces/stream NDJSON dump timed per emitted record.
 func measureServe(rep *report, profile string, seed int64, queries, runs int) error {
@@ -37,46 +34,34 @@ func measureServe(rep *report, profile string, seed int64, queries, runs int) er
 	}
 	m := sys.MapInterconnections()
 	// Swap-time work happens here, as the daemon's writer loop would,
-	// so both modes measure serving — never table construction.
+	// so the passes measure serving — never table construction.
 	m.Materialize(0)
 	reqs, ips := buildServeRequests(m, queries)
 	if len(reqs) == 0 {
 		return fmt.Errorf("serve: no query targets in the snapshot")
 	}
 
-	// Read-only traffic: neither server needs its writer loop. The
-	// request timeout is disabled so the measurement sees the handler
-	// path, not stdlib timer machinery; both modes skip it equally.
-	cold := serve.New(sys, serve.Options{RequestTimeout: -1, CacheEntries: -1, Obs: obs.New(0)})
-	hot := serve.New(sys, serve.Options{RequestTimeout: -1, Obs: obs.New(0)})
-
-	coldNs, _, err := timeServe(cold.Handler(), reqs, runs)
+	// Read-only traffic: the server needs no writer loop.
+	h := serve.New(sys, serve.Options{Obs: obs.New(0)}).Handler()
+	ns, allocs, err := timeServe(h, reqs, runs)
 	if err != nil {
-		return fmt.Errorf("serve cold: %w", err)
-	}
-	hotNs, hotAllocs, err := timeServe(hot.Handler(), reqs, runs)
-	if err != nil {
-		return fmt.Errorf("serve hot: %w", err)
+		return fmt.Errorf("serve: %w", err)
 	}
 	rep.ServeQueries = len(reqs)
-	rep.ServeColdNsPerQuery = coldNs
-	rep.ServeHotNsPerQuery = hotNs
-	rep.ServeHotAllocsPerQuery = hotAllocs
-	if hotNs > 0 {
-		rep.ServeSpeedupX = float64(coldNs) / float64(hotNs)
-	}
+	rep.ServeNsPerQuery = ns
+	rep.ServeAllocsPerQuery = allocs
 
 	// Batch amortization: the same N addresses as one POST body versus
-	// N individual hot lookups. Both sides are steady-state (cached).
+	// N individual lookups, each side timed over as many addresses.
 	loop := make([]*http.Request, len(ips))
 	for i, ip := range ips {
 		loop[i] = httptest.NewRequest("GET", "/v1/interface/"+ip, nil)
 	}
-	loopNs, _, err := timeServe(hot.Handler(), loop, runs)
+	loopNs, _, err := timeServe(h, loop, runs*batchIters)
 	if err != nil {
 		return fmt.Errorf("serve loop: %w", err)
 	}
-	batchNs, err := timeBatch(hot.Handler(), ips, runs)
+	batchNs, err := timeBatch(h, ips, runs)
 	if err != nil {
 		return fmt.Errorf("serve batch: %w", err)
 	}
@@ -86,7 +71,7 @@ func measureServe(rep *report, profile string, seed int64, queries, runs int) er
 		rep.ServeBatchAmortizationX = float64(loopNs) / float64(batchNs)
 	}
 
-	streamNs, nIfs, err := timeStream(hot.Handler(), runs)
+	streamNs, nIfs, err := timeStream(h, runs)
 	if err != nil {
 		return fmt.Errorf("serve stream: %w", err)
 	}
@@ -170,10 +155,30 @@ func (s *sink) Header() http.Header         { return s.hdr }
 func (s *sink) WriteHeader(code int)        { s.code = code }
 func (s *sink) Write(b []byte) (int, error) { s.n += int64(len(b)); return len(b), nil }
 
+// serveReps is how many times each -serve window is timed. A window
+// is a few milliseconds of work at most, so one preemption or GC cycle
+// can double it; the fastest repetition is reported, since noise only
+// ever adds time.
+const serveReps = 7
+
+// fastest runs pass serveReps times and returns the shortest duration.
+func fastest(pass func()) time.Duration {
+	best := time.Duration(math.MaxInt64)
+	for i := 0; i < serveReps; i++ {
+		t0 := time.Now()
+		pass()
+		if d := time.Since(t0); d < best {
+			best = d
+		}
+	}
+	return best
+}
+
 // timeServe plays the request mix through the handler: one untimed
-// warmup pass (verifying statuses and filling the hot server's cache so
-// both modes measure steady-state serving), then timed passes with the
-// heap-allocation delta of the whole loop attributed per query.
+// warmup pass (verifying statuses and growing the reused header map, so
+// the timed passes measure steady-state serving), then the fastest of
+// serveReps timed windows, with the heap-allocation delta of all of
+// them attributed per query.
 func timeServe(h http.Handler, reqs []*http.Request, runs int) (nsPerQuery int64, allocsPerQuery float64, err error) {
 	for _, r := range reqs {
 		rec := httptest.NewRecorder()
@@ -187,16 +192,16 @@ func timeServe(h http.Handler, reqs []*http.Request, runs int) (nsPerQuery int64
 	runtime.GC()
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
-	t0 := time.Now()
-	for i := 0; i < runs; i++ {
-		for _, r := range reqs {
-			h.ServeHTTP(w, r)
+	best := fastest(func() {
+		for i := 0; i < runs; i++ {
+			for _, r := range reqs {
+				h.ServeHTTP(w, r)
+			}
 		}
-	}
-	total := time.Since(t0)
+	})
 	runtime.ReadMemStats(&after)
 	n := int64(runs * len(reqs))
-	return total.Nanoseconds() / n, float64(after.Mallocs-before.Mallocs) / float64(n), nil
+	return best.Nanoseconds() / n, float64(after.Mallocs-before.Mallocs) / float64(serveReps*n), nil
 }
 
 // batchIters spreads the one-request batch/stream scenarios over enough
@@ -224,13 +229,13 @@ func timeBatch(h http.Handler, ips []string, runs int) (int64, error) {
 	}
 	w := newSink()
 	iters := runs * batchIters
-	t0 := time.Now()
-	for i := 0; i < iters; i++ {
-		rd.Seek(0, io.SeekStart)
-		h.ServeHTTP(w, r)
-	}
-	total := time.Since(t0)
-	return total.Nanoseconds() / int64(iters*len(ips)), nil
+	best := fastest(func() {
+		for i := 0; i < iters; i++ {
+			rd.Seek(0, io.SeekStart)
+			h.ServeHTTP(w, r)
+		}
+	})
+	return best.Nanoseconds() / int64(iters*len(ips)), nil
 }
 
 // timeStream times the GET /v1/interfaces/stream NDJSON dump, reporting
@@ -248,10 +253,10 @@ func timeStream(h http.Handler, runs int) (nsPerIf int64, interfaces int, err er
 	w := newSink()
 	r := httptest.NewRequest("GET", "/v1/interfaces/stream", nil)
 	iters := runs * batchIters
-	t0 := time.Now()
-	for i := 0; i < iters; i++ {
-		h.ServeHTTP(w, r)
-	}
-	total := time.Since(t0)
-	return total.Nanoseconds() / int64(iters*interfaces), interfaces, nil
+	best := fastest(func() {
+		for i := 0; i < iters; i++ {
+			h.ServeHTTP(w, r)
+		}
+	})
+	return best.Nanoseconds() / int64(iters*interfaces), interfaces, nil
 }

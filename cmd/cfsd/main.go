@@ -1,12 +1,12 @@
 // Command cfsd is the continuous mapping daemon: it boots a
 // facilitymap.System, runs the initial convergence, then serves the
-// epoch-cached query API while folding in delta batches as they arrive.
+// query API while folding in delta batches as they arrive.
 //
 // Usage:
 //
 //	cfsd [-addr :8080] [-profile small|medium|default|paper|large] [-seed N]
 //	     [-iterations N] [-workers N] [-engine worklist|rescan] [-shards N]
-//	     [-follow churn.jsonl] [-poll 1s] [-cache N] [-timeout 5s] [-inflight N]
+//	     [-follow churn.jsonl] [-poll 1s] [-batch N] [-inflight N] [-grace 10s]
 //
 // Endpoints:
 //
@@ -22,11 +22,10 @@
 //	POST /v1/deltas             a JSONL delta batch (worldgen -churn format);
 //	                            answers {"epoch":N,"applied":K}
 //
-// Every query is answered from the current immutable snapshot and
-// stamped with its epoch (body and X-CFS-Epoch header); responses are
-// cached per epoch and the cache dies wholesale at each snapshot swap.
-// The writer loop materializes each snapshot's serving tables at the
-// swap, so queries are table reads — never snapshot-wide builds.
+// Every query is rendered from the current immutable snapshot and
+// stamped with its epoch (body and X-CFS-Epoch header). The writer loop
+// materializes each snapshot's serving tables at the swap, so queries
+// are table reads — never snapshot-wide builds.
 // Writes — POSTed batches and, with -follow, records tailed from a
 // growing churn log — are serialized through one writer goroutine.
 //
@@ -51,6 +50,12 @@ import (
 	"facilitymap/internal/serve"
 )
 
+// Connection deadlines of the listener.
+const (
+	readHeaderTimeout = 10 * time.Second
+	idleTimeout       = 2 * time.Minute
+)
+
 func main() {
 	var (
 		addr       = flag.String("addr", ":8080", "listen address")
@@ -63,8 +68,6 @@ func main() {
 		follow     = flag.String("follow", "", "tail this JSONL churn log (see worldgen -churn -out) and apply new records")
 		poll       = flag.Duration("poll", time.Second, "poll interval for -follow")
 		batch      = flag.Int("batch", 256, "max records per epoch when applying a -follow tail")
-		cacheSize  = flag.Int("cache", serve.DefaultCacheEntries, "epoch-cache entry bound (negative disables caching)")
-		timeout    = flag.Duration("timeout", serve.DefaultRequestTimeout, "per-request timeout")
 		inflight   = flag.Int("inflight", serve.DefaultMaxInFlight, "max concurrently executing requests (excess get 503)")
 		grace      = flag.Duration("grace", 10*time.Second, "shutdown grace for in-flight requests")
 	)
@@ -92,9 +95,7 @@ func main() {
 		len(m.Result().Interfaces), m.Result().Resolved())
 
 	srv := serve.New(sys, serve.Options{
-		RequestTimeout:     *timeout,
 		MaxInFlight:        *inflight,
-		CacheEntries:       *cacheSize,
 		MaterializeWorkers: *workers,
 		Obs:                obs.New(0),
 	})
@@ -114,7 +115,17 @@ func main() {
 		}()
 	}
 
-	hs := &http.Server{Addr: *addr, Handler: srv.Handler()}
+	// Connection deadlines only: a slow or idle client cannot pin a
+	// connection, but nothing bounds a running handler. A ReadTimeout
+	// would: net/http cancels the request context when it expires
+	// while the handler still runs, which would abort a POST waiting
+	// on the writer loop or a long stream.
+	hs := &http.Server{
+		Addr:              *addr,
+		Handler:           srv.Handler(),
+		ReadHeaderTimeout: readHeaderTimeout,
+		IdleTimeout:       idleTimeout,
+	}
 	errCh := make(chan error, 1)
 	go func() { errCh <- hs.ListenAndServe() }()
 	fmt.Fprintf(os.Stderr, "cfsd: serving on %s\n", *addr)

@@ -2,8 +2,7 @@
 // deterministic map iteration, sanctioned clocks and RNG, single-source
 // probe accounting, nil-safe observability, fenced facset algebra, and
 // the flow-aware serving invariants (one snapshot load per request,
-// epoch-keyed cache hygiene, goroutine termination edges, hotpath
-// allocation budgets).
+// goroutine termination edges, hotpath allocation budgets).
 //
 // It speaks two protocols:
 //

@@ -1,5 +1,5 @@
-// Package serve deliberately violates the four flow-aware serving
-// invariants — snapconsist, epochkey, goleak and hotalloc — so the
+// Package serve deliberately violates the three flow-aware serving
+// invariants — snapconsist, goleak and hotalloc — so the
 // integration test can watch cfslint report each one, standalone and
 // under go vet -vettool. The stubs are self-contained: badmod is its
 // own module and must not import facilitymap.
@@ -18,11 +18,7 @@ type System struct{ cur *Mapping }
 
 func (s *System) Current() *Mapping { return s.cur }
 
-type cacheKey struct{ path string }
-
-type epochCache struct{}
-
-func (c *epochCache) get(epoch int, key cacheKey) ([]byte, bool) { return nil, false }
+type routeKey struct{ path string }
 
 func use(*Mapping) {}
 
@@ -33,12 +29,6 @@ func DoubleLoad(s *System) {
 	use(m)
 	m2 := s.Current()
 	use(m2)
-}
-
-// LiteralEpoch keys the cache with a fabricated epoch instead of one
-// derived from Mapping.Epoch() (epochkey).
-func LiteralEpoch(c *epochCache) {
-	c.get(42, cacheKey{path: "/facilities"})
 }
 
 // LeakyWorker spawns a goroutine with no termination edge: no context,
@@ -56,6 +46,6 @@ func LeakyWorker(ch chan int) {
 // (hotalloc).
 //
 //cfslint:hotpath
-func HotFormat(key cacheKey) string {
+func HotFormat(key routeKey) string {
 	return fmt.Sprintf("hot:%s", key.path)
 }

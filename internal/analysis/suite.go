@@ -1,4 +1,4 @@
-// Package analysis assembles the repo's invariant suite: the nine
+// Package analysis assembles the repo's invariant suite: the eight
 // codebase-specific passes plus the directive validator that keeps the
 // suppression mechanism honest. cmd/cfslint drives the suite both
 // standalone and as a `go vet -vettool`; the analysistest harness
@@ -17,14 +17,11 @@
 // framework's CFG + def-use substrate:
 //
 //	snapconsist  one System.Current() load per request, threaded everywhere
-//	epochkey     cache epochs derive from the rendered snapshot; advance
-//	             follows the Apply swap
 //	goleak       every daemon go statement has a provable termination edge
 //	hotalloc     //cfslint:hotpath functions reject alloc-prone constructs
 package analysis
 
 import (
-	"facilitymap/internal/analysis/epochkey"
 	"facilitymap/internal/analysis/facsetmix"
 	"facilitymap/internal/analysis/framework"
 	"facilitymap/internal/analysis/goleak"
@@ -45,7 +42,6 @@ func Suite() []*framework.Analyzer {
 		obsnil.Analyzer,
 		facsetmix.Analyzer,
 		snapconsist.Analyzer,
-		epochkey.Analyzer,
 		goleak.Analyzer,
 		hotalloc.Analyzer,
 	}

@@ -7,19 +7,14 @@
 // System.Current is an atomic pointer to an immutable Mapping, so every
 // query handler loads the pointer once and renders its whole response
 // from that one snapshot — a response is consistent with exactly one
-// epoch even while Apply is publishing the next. Responses are cached
-// under (epoch, request) keys; the cache is invalidated wholesale when
-// the epoch advances, so an entry can never outlive its snapshot (see
-// epochCache).
+// epoch even while Apply is publishing the next.
 //
-// The hot path is engineered down to a hash lookup plus a buffer
-// write: the writer loop materializes each snapshot's tables (described
-// records, pre-rendered JSON, the AS-pair index) at swap time, so a
-// cold query is table reads and byte appends — never a snapshot-wide
-// build — and a hot query touches one cache shard under a striped
-// RWMutex. Concurrent cold misses for one key dedup through a
-// singleflight table and render once. Batched (POST /v1/interfaces:batch)
-// and streaming (GET /v1/interfaces/stream) shapes amortize per-request
+// There is one read path and no response cache: the writer loop
+// materializes each snapshot's tables (described records, pre-rendered
+// JSON, the AS-pair index) at swap time, so every query renders
+// straight from the snapshot as table reads and byte appends — never a
+// snapshot-wide build. Batched (POST /v1/interfaces:batch) and
+// streaming (GET /v1/interfaces/stream) shapes amortize per-request
 // overhead for bulk consumers.
 //
 // Writes are serialized through one goroutine (Run): POST /v1/deltas
@@ -48,9 +43,7 @@ import (
 
 // Defaults for Options fields left zero.
 const (
-	DefaultRequestTimeout = 5 * time.Second
-	DefaultMaxInFlight    = 64
-	DefaultCacheEntries   = 4096
+	DefaultMaxInFlight = 64
 
 	// maxDeltaBody bounds a POST /v1/deltas body (8 MiB ≈ 60k records).
 	maxDeltaBody = 8 << 20
@@ -65,25 +58,15 @@ const (
 // Options configures a Server. The zero value is usable: every field
 // has a default, and a nil Obs disables metrics at zero cost.
 type Options struct {
-	// RequestTimeout bounds each request end to end (default 5s;
-	// negative disables the timeout handler). The stream endpoint is
-	// exempt: its response is written incrementally and its size scales
-	// with the snapshot, so it is bounded by write progress, not wall
-	// time.
-	RequestTimeout time.Duration
 	// MaxInFlight bounds concurrently executing handlers; excess
 	// requests are rejected with 503 rather than queued (default 64).
 	MaxInFlight int
-	// CacheEntries bounds the epoch cache (default 4096; negative
-	// disables caching entirely — every query renders from the
-	// snapshot, the cold-path cfsbench -serve measures).
-	CacheEntries int
 	// MaterializeWorkers is the parallel-fold width used when the
 	// writer loop materializes a freshly published snapshot's tables
 	// (0 = one worker per CPU).
 	MaterializeWorkers int
-	// Obs receives request counts, latency histograms, cache hit/miss
-	// counters and the published epoch gauge. Nil disables.
+	// Obs receives request counts, latency histograms and the
+	// published epoch gauge. Nil disables.
 	Obs *obs.Obs
 	// Now is the injected clock for latency measurement; nil means
 	// wall time. Tests inject a fake so latency math is deterministic.
@@ -101,11 +84,9 @@ type routeObs struct {
 // with New, start the writer loop with Run (required for POST
 // /v1/deltas and Follow), and mount Handler on an http.Server.
 type Server struct {
-	sys     *facilitymap.System
-	opt     Options
-	cache   *epochCache // nil when caching is disabled
-	handler http.Handler
-	now     func() time.Time
+	sys *facilitymap.System
+	opt Options
+	now func() time.Time
 
 	// Per-route handlers, wrapped once at New with the concurrency
 	// bound and metrics. Routing is hand-rolled in dispatch: stdlib
@@ -115,10 +96,9 @@ type Server struct {
 	// budget.
 	hInterface, hIxn, hSnapshot, hMetrics http.Handler
 	hDeltas, hBatch, hStream              http.Handler
-	inner                                 http.Handler // dispatch, timeout-wrapped
 
 	// hdr caches the current epoch's pre-built X-CFS-Epoch header
-	// value, so stamping a hot response assigns a shared slice instead
+	// value, so stamping a response assigns a shared slice instead
 	// of allocating one per request.
 	hdr atomic.Pointer[epochHdrEntry]
 
@@ -126,16 +106,12 @@ type Server struct {
 	done     chan struct{} // closed when Run returns
 	inflight chan struct{}
 
-	routes      map[string]routeObs
-	hits        *obs.Counter
-	misses      *obs.Counter
-	fullDrops   *obs.Counter
-	flightDedup *obs.Counter
-	rejected    *obs.Counter
-	applied     *obs.Counter
-	applyErrs   *obs.Counter
-	followBad   *obs.Counter
-	epochGauge  *obs.Gauge
+	routes     map[string]routeObs
+	rejected   *obs.Counter
+	applied    *obs.Counter
+	applyErrs  *obs.Counter
+	followBad  *obs.Counter
+	epochGauge *obs.Gauge
 }
 
 type epochHdrEntry struct {
@@ -144,8 +120,8 @@ type epochHdrEntry struct {
 }
 
 // Shared header value slices: assigning them to the header map is
-// alloc-free on the hot path (the map buckets already exist after the
-// first request on a connection).
+// alloc-free on the request path (the map buckets already exist after
+// the first request on a connection).
 var (
 	hdrJSON   = []string{"application/json"}
 	hdrNDJSON = []string{"application/x-ndjson"}
@@ -154,14 +130,8 @@ var (
 // New wires a Server over sys. The system should already have run
 // MapInterconnections; until it does, queries answer 503.
 func New(sys *facilitymap.System, opt Options) *Server {
-	if opt.RequestTimeout == 0 {
-		opt.RequestTimeout = DefaultRequestTimeout
-	}
 	if opt.MaxInFlight <= 0 {
 		opt.MaxInFlight = DefaultMaxInFlight
-	}
-	if opt.CacheEntries == 0 {
-		opt.CacheEntries = DefaultCacheEntries
 	}
 	now := opt.Now
 	if now == nil {
@@ -176,9 +146,6 @@ func New(sys *facilitymap.System, opt Options) *Server {
 		done:     make(chan struct{}),
 		inflight: make(chan struct{}, opt.MaxInFlight),
 	}
-	if opt.CacheEntries > 0 {
-		s.cache = newEpochCache(opt.CacheEntries)
-	}
 	o := opt.Obs
 	s.routes = make(map[string]routeObs)
 	for _, r := range []string{"interface", "interconnections", "snapshot", "metrics", "deltas", "batch", "stream"} {
@@ -188,10 +155,6 @@ func New(sys *facilitymap.System, opt Options) *Server {
 			latency: o.Histogram("serve.http.latency." + r),
 		}
 	}
-	s.hits = o.Counter("serve.cache.hits")
-	s.misses = o.Counter("serve.cache.misses")
-	s.fullDrops = o.Counter("serve.cache.full_drops")
-	s.flightDedup = o.Counter("serve.cache.flight_dedup")
 	s.rejected = o.Counter("serve.http.rejected")
 	s.applied = o.Counter("serve.deltas.applied")
 	s.applyErrs = o.Counter("serve.deltas.errors")
@@ -205,21 +168,6 @@ func New(sys *facilitymap.System, opt Options) *Server {
 	s.hDeltas = s.route("deltas", s.handleDeltas)
 	s.hBatch = s.route("batch", s.handleBatch)
 	s.hStream = s.route("stream", s.handleStream)
-	var h http.Handler = http.HandlerFunc(s.dispatch)
-	if opt.RequestTimeout > 0 {
-		h = http.TimeoutHandler(h, opt.RequestTimeout, `{"error":"request timed out"}`)
-	}
-	s.inner = h
-	// The stream dump bypasses the timeout handler (which buffers the
-	// whole response in memory until the handler returns — the opposite
-	// of streaming); it still honors the concurrency bound.
-	s.handler = http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		if r.URL.Path == "/v1/interfaces/stream" {
-			serveMethod(w, r, http.MethodGet, s.hStream)
-			return
-		}
-		s.inner.ServeHTTP(w, r)
-	})
 	return s
 }
 
@@ -245,6 +193,8 @@ func (s *Server) dispatch(w http.ResponseWriter, r *http.Request) {
 		serveMethod(w, r, http.MethodPost, s.hDeltas)
 	case path == "/v1/interfaces:batch":
 		serveMethod(w, r, http.MethodPost, s.hBatch)
+	case path == "/v1/interfaces/stream":
+		serveMethod(w, r, http.MethodGet, s.hStream)
 	default:
 		writeError(w, http.StatusNotFound, "no such route")
 	}
@@ -260,15 +210,16 @@ func serveMethod(w http.ResponseWriter, r *http.Request, method string, h http.H
 }
 
 // Handler returns the fully wired HTTP handler (routing, concurrency
-// bound, per-request timeout, instrumentation).
-func (s *Server) Handler() http.Handler { return s.handler }
+// bound, instrumentation). Connection-level deadlines belong to the
+// http.Server it is mounted on.
+func (s *Server) Handler() http.Handler { return http.HandlerFunc(s.dispatch) }
 
 // Done is closed when the writer loop has exited (after draining).
 func (s *Server) Done() <-chan struct{} { return s.done }
 
 // route wraps a handler with the concurrency bound and per-route
 // metrics. The bound rejects rather than queues: under overload the
-// caller gets a fast 503, not a slow success after the timeout budget.
+// caller gets a fast 503 instead of waiting in a queue.
 func (s *Server) route(name string, h http.HandlerFunc) http.Handler {
 	ro := s.routes[name]
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
@@ -322,58 +273,24 @@ func writeError(w http.ResponseWriter, status int, msg string) {
 	writeJSON(w, status, nil, body)
 }
 
-// cached runs one epoch-cached query: load the current snapshot once,
-// serve from cache when the rendered response for (epoch, route, arg)
-// exists, otherwise render from that same snapshot — deduping
-// concurrent identical renders through the cache's singleflight — and
-// store it. The whole response derives from a single immutable Mapping,
-// so it is consistent with exactly one epoch even when Apply swaps
-// snapshots mid-request.
+// respond runs one query: load the current snapshot once, render the
+// whole response from it and stamp its epoch. The response derives
+// from a single immutable Mapping, so it is consistent with exactly one
+// epoch even when Apply swaps snapshots mid-request.
 //
 //cfslint:hotpath
-func (s *Server) cached(ro routeObs, w http.ResponseWriter, route uint8, arg string,
-	render func(m *facilitymap.Mapping) (int, []byte)) {
+func (s *Server) respond(ro routeObs, w http.ResponseWriter, render func(m *facilitymap.Mapping) (int, []byte)) {
 	m := s.sys.Current()
 	if m == nil {
 		ro.errors.Inc()
 		writeError(w, http.StatusServiceUnavailable, "no snapshot published yet")
 		return
 	}
-	epoch := m.Epoch()
-	hdr := s.epochHeader(epoch)
-	if s.cache == nil {
-		status, body := render(m)
-		if status != http.StatusOK {
-			ro.errors.Inc()
-		}
-		writeJSON(w, status, hdr, body)
-		return
-	}
-	key := cacheKey{route: route, arg: arg}
-	if r, ok := s.cache.get(epoch, key); ok {
-		s.hits.Inc()
-		if r.status != http.StatusOK {
-			ro.errors.Inc()
-		}
-		writeJSON(w, r.status, hdr, r.body)
-		return
-	}
-	s.misses.Inc()
-	//cfslint:ignore hotalloc miss-path only: the singleflight closure must capture the pinned snapshot so every deduped waiter shares one epoch-consistent render
-	r, out := s.cache.render(epoch, key, func() cachedResponse {
-		status, body := render(m)
-		return cachedResponse{status: status, body: body}
-	})
-	switch out {
-	case renderDeduped:
-		s.flightDedup.Inc()
-	case renderFullDrop:
-		s.fullDrops.Inc()
-	}
-	if r.status != http.StatusOK {
+	status, body := render(m)
+	if status != http.StatusOK {
 		ro.errors.Inc()
 	}
-	writeJSON(w, r.status, hdr, r.body)
+	writeJSON(w, status, s.epochHeader(m.Epoch()), body)
 }
 
 // wrapEpochField assembles `{"epoch":N,"<field>":<rec>}` around a
@@ -403,7 +320,7 @@ type interfaceResponse struct {
 
 func (s *Server) handleInterface(w http.ResponseWriter, r *http.Request) {
 	ip := strings.TrimPrefix(r.URL.Path, interfacePrefix)
-	s.cached(s.routes["interface"], w, routeInterface, ip, func(m *facilitymap.Mapping) (int, []byte) {
+	s.respond(s.routes["interface"], w, func(m *facilitymap.Mapping) (int, []byte) {
 		if _, err := netaddr.ParseIP(ip); err != nil {
 			body, _ := json.Marshal(interfaceResponse{
 				Epoch: m.Epoch(), Error: fmt.Sprintf("unparsable address %q", ip),
@@ -476,16 +393,12 @@ func (s *Server) handleInterconnections(w http.ResponseWriter, r *http.Request) 
 		writeError(w, http.StatusBadRequest, "need positive integer ASNs ?a= and ?b=")
 		return
 	}
-	// Normalize so (a,b) and (b,a) share one cache entry.
+	// Normalize so (a,b) and (b,a) answer the same body.
 	lo, hi := a, b
 	if lo > hi {
 		lo, hi = hi, lo
 	}
-	var kb [24]byte
-	k := strconv.AppendInt(kb[:0], int64(lo), 10)
-	k = append(k, ',')
-	k = strconv.AppendInt(k, int64(hi), 10)
-	s.cached(s.routes["interconnections"], w, routeInterconnections, string(k), func(m *facilitymap.Mapping) (int, []byte) {
+	s.respond(s.routes["interconnections"], w, func(m *facilitymap.Mapping) (int, []byte) {
 		resp := interconnectionsResponse{
 			Epoch:            m.Epoch(),
 			A:                lo,
@@ -505,7 +418,7 @@ type snapshotResponse struct {
 }
 
 func (s *Server) handleSnapshot(w http.ResponseWriter, r *http.Request) {
-	s.cached(s.routes["snapshot"], w, routeSnapshot, "", func(m *facilitymap.Mapping) (int, []byte) {
+	s.respond(s.routes["snapshot"], w, func(m *facilitymap.Mapping) (int, []byte) {
 		resp := snapshotResponse{SnapshotSummary: m.Summarize(), ASPairs: m.ASPairs()}
 		body, _ := json.Marshal(resp)
 		return http.StatusOK, body
@@ -527,10 +440,7 @@ type batchResult struct {
 
 // handleBatch answers POST /v1/interfaces:batch: a JSON array of
 // interface addresses in, an epoch-stamped array of inferences out.
-// The whole batch costs one snapshot load and occupies one cache key —
-// the raw request body — so a repeated bulk query (the byte-identical
-// poll a downstream monitor sends every cycle) is a single hash lookup
-// that never re-parses the JSON, regardless of batch size.
+// The whole batch costs one snapshot load, whatever its size.
 func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	ro := s.routes["batch"]
 	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxBatchBody))
@@ -539,7 +449,7 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, "read body: "+err.Error())
 		return
 	}
-	s.cached(ro, w, routeBatch, string(body), func(m *facilitymap.Mapping) (int, []byte) {
+	s.respond(ro, w, func(m *facilitymap.Mapping) (int, []byte) {
 		var ips []string
 		if err := json.Unmarshal(body, &ips); err != nil {
 			b, _ := json.Marshal(struct {
@@ -764,11 +674,6 @@ func (s *Server) apply(req applyReq) {
 		m.Materialize(s.opt.MaterializeWorkers)
 		s.applied.Add(int64(len(req.log)))
 		s.epochGauge.Set(int64(m.Epoch()))
-		if s.cache != nil {
-			// Invalidate at the swap, not lazily at the next store:
-			// stale entries vanish the moment the new epoch is live.
-			s.cache.advance(m.Epoch())
-		}
 	}
 	req.resp <- applyResult{m: m, err: err}
 }

@@ -12,7 +12,6 @@ import (
 	"runtime"
 	"strconv"
 	"sync"
-	"sync/atomic"
 	"testing"
 	"time"
 
@@ -123,183 +122,6 @@ func sampleQueries(m *facilitymap.Mapping, nIPs, nPairs int) (ips []string, pair
 	return ips, pairs
 }
 
-// sameShardKeys returns n distinct keys that all hash to one stripe of
-// c, so capacity tests exercise a single shard's bound deterministically.
-func sameShardKeys(c *epochCache, n int) []cacheKey {
-	keys := []cacheKey{{route: routeInterface, arg: "k0"}}
-	want := c.shardOf(keys[0])
-	for i := 1; len(keys) < n; i++ {
-		k := cacheKey{route: routeInterface, arg: fmt.Sprintf("k%d", i)}
-		if c.shardOf(k) == want {
-			keys = append(keys, k)
-		}
-	}
-	return keys
-}
-
-// TestEpochCache pins the cache invariants directly: same-epoch hits,
-// cross-epoch misses, wholesale reset on advance, stale puts dropped,
-// and the per-shard entry bound (with the refusal reported so the
-// server can count it as a full drop).
-func TestEpochCache(t *testing.T) {
-	c := newEpochCache(2 * cacheShards) // two entries per shard
-	keys := sameShardKeys(c, 3)
-	r1 := cachedResponse{status: 200, body: []byte("one")}
-	if full := c.put(0, keys[0], r1); full {
-		t.Fatal("first put reported a full drop")
-	}
-	if got, ok := c.get(0, keys[0]); !ok || string(got.body) != "one" {
-		t.Fatal("same-epoch get missed")
-	}
-	if _, ok := c.get(1, keys[0]); ok {
-		t.Fatal("entry visible under a different epoch")
-	}
-
-	// Bound: a third distinct key on a full shard is refused, and the
-	// refusal is reported. Overwriting an existing key still works.
-	c.put(0, keys[1], r1)
-	if full := c.put(0, keys[2], r1); !full {
-		t.Fatal("put at capacity did not report a full drop")
-	}
-	if _, ok := c.get(0, keys[2]); ok {
-		t.Fatal("bound exceeded")
-	}
-	if full := c.put(0, keys[0], cachedResponse{status: 200, body: []byte("two")}); full {
-		t.Fatal("overwrite of a resident key reported a full drop")
-	}
-	if got, _ := c.get(0, keys[0]); string(got.body) != "two" {
-		t.Fatal("overwrite lost")
-	}
-	if c.len() != 2 {
-		t.Fatalf("len %d, want 2", c.len())
-	}
-
-	// Advancing resets wholesale.
-	c.advance(1)
-	if c.len() != 0 {
-		t.Fatalf("advance left %d entries", c.len())
-	}
-	if _, ok := c.get(0, keys[0]); ok {
-		t.Fatal("entry outlived its epoch")
-	}
-
-	// A late writer from the superseded epoch is dropped silently — a
-	// stale put is not a capacity problem, so no full drop either.
-	if full := c.put(0, keys[0], r1); full {
-		t.Fatal("stale put reported a full drop")
-	}
-	if _, ok := c.get(0, keys[0]); ok {
-		t.Fatal("stale put resurrected an old epoch")
-	}
-	if c.len() != 0 {
-		t.Fatal("stale put stored under the new epoch")
-	}
-}
-
-// TestEpochCacheSingleflight: concurrent cold misses for one (epoch,
-// key) render exactly once — waiters share the leader's response.
-func TestEpochCacheSingleflight(t *testing.T) {
-	c := newEpochCache(64)
-	key := cacheKey{route: routeSnapshot, arg: ""}
-	release := make(chan struct{})
-	var calls int32
-
-	const waiters = 8
-	var started, wg sync.WaitGroup
-	led := make(chan renderOutcome, waiters)
-	started.Add(waiters)
-	wg.Add(waiters)
-	for i := 0; i < waiters; i++ {
-		go func() {
-			defer wg.Done()
-			started.Done()
-			res, out := c.render(7, key, func() cachedResponse {
-				atomic.AddInt32(&calls, 1)
-				<-release // hold the flight open until every goroutine has arrived
-				return cachedResponse{status: 200, body: []byte("rendered")}
-			})
-			if string(res.body) != "rendered" {
-				t.Errorf("waiter got %q", res.body)
-			}
-			led <- out
-		}()
-	}
-	started.Wait()
-	time.Sleep(10 * time.Millisecond) // let the stragglers reach render
-	close(release)
-	wg.Wait()
-
-	if calls != 1 {
-		t.Fatalf("render ran %d times, want 1", calls)
-	}
-	close(led)
-	var leaders, deduped int
-	for out := range led {
-		switch out {
-		case renderLed:
-			leaders++
-		case renderDeduped:
-			deduped++
-		}
-	}
-	if leaders != 1 || deduped != waiters-1 {
-		t.Fatalf("outcomes: %d leaders, %d deduped; want 1 and %d", leaders, deduped, waiters-1)
-	}
-	if _, ok := c.get(7, key); !ok {
-		t.Fatal("singleflight result not stored")
-	}
-}
-
-// TestEpochCacheConcurrent hammers get/put/render against a racing
-// advance under -race. The invariant: a hit at epoch e always returns
-// bytes rendered for e — the body encodes its epoch, so any cross-epoch
-// leak is caught by content, not just by the race detector.
-func TestEpochCacheConcurrent(t *testing.T) {
-	c := newEpochCache(128)
-	var epoch atomic.Int64
-	stop := make(chan struct{})
-	var wg sync.WaitGroup
-
-	body := func(e int, k int) []byte {
-		return []byte(fmt.Sprintf("e%d-k%d", e, k))
-	}
-	for g := 0; g < 4; g++ {
-		wg.Add(1)
-		go func(g int) {
-			defer wg.Done()
-			for i := 0; ; i++ {
-				select {
-				case <-stop:
-					return
-				default:
-				}
-				e := int(epoch.Load())
-				key := cacheKey{route: routeInterface, arg: fmt.Sprintf("k%d", (g*7+i)%13)}
-				if got, ok := c.get(e, key); ok {
-					if want := fmt.Sprintf("e%d-", e); !bytes.HasPrefix(got.body, []byte(want)) {
-						t.Errorf("epoch %d hit returned %q", e, got.body)
-						return
-					}
-				}
-				switch i % 3 {
-				case 0:
-					c.put(e, key, cachedResponse{status: 200, body: body(e, (g*7+i)%13)})
-				case 1:
-					c.render(e, key, func() cachedResponse {
-						return cachedResponse{status: 200, body: body(e, (g*7+i)%13)}
-					})
-				}
-			}
-		}(g)
-	}
-	for e := 1; e <= 50; e++ {
-		epoch.Store(int64(e))
-		c.advance(e)
-	}
-	close(stop)
-	wg.Wait()
-}
-
 // TestQueryEndpoints drives every read route against a converged
 // system and checks each response against the facade directly.
 func TestQueryEndpoints(t *testing.T) {
@@ -314,7 +136,7 @@ func TestQueryEndpoints(t *testing.T) {
 		t.Fatal("no query targets in the snapshot")
 	}
 
-	// Interface: hit, then repeat (cache hit), then 404 and 400.
+	// Interface: hit, then a byte-identical repeat, then 404 and 400.
 	rec := get(h, "/v1/interface/"+ips[0])
 	if rec.Code != http.StatusOK {
 		t.Fatalf("interface status %d: %s", rec.Code, rec.Body)
@@ -331,14 +153,9 @@ func TestQueryEndpoints(t *testing.T) {
 		t.Fatalf("epoch header %q, want 0", rec.Header().Get("X-CFS-Epoch"))
 	}
 
-	misses := s.misses.Value()
-	rec = get(h, "/v1/interface/"+ips[0])
-	if rec.Code != http.StatusOK {
-		t.Fatalf("repeat status %d", rec.Code)
-	}
-	if s.misses.Value() != misses || s.hits.Value() == 0 {
-		t.Fatalf("repeat query did not hit the cache (hits=%d misses=%d)",
-			s.hits.Value(), s.misses.Value())
+	first := rec.Body.String()
+	if rec = get(h, "/v1/interface/"+ips[0]); rec.Code != http.StatusOK || rec.Body.String() != first {
+		t.Fatalf("repeat status %d, body %q; want 200 and %q", rec.Code, rec.Body, first)
 	}
 
 	if rec = get(h, "/v1/interface/203.0.113.254"); rec.Code != http.StatusNotFound {
@@ -381,8 +198,8 @@ func TestQueryEndpoints(t *testing.T) {
 	if ms.Counters["serve.http.requests.interface"] == 0 {
 		t.Fatalf("metrics missing request counters: %v", ms.Counters)
 	}
-	if rec = get(h, "/metrics?format=text"); !bytes.Contains(rec.Body.Bytes(), []byte("serve.cache.hits")) {
-		t.Fatal("text metrics missing cache counters")
+	if rec = get(h, "/metrics?format=text"); !bytes.Contains(rec.Body.Bytes(), []byte("serve.http.requests.interface")) {
+		t.Fatal("text metrics missing request counters")
 	}
 }
 
@@ -410,8 +227,8 @@ func postBatch(h http.Handler, body string) *httptest.ResponseRecorder {
 
 // TestBatchEndpoint drives POST /v1/interfaces:batch: results arrive in
 // request order from one snapshot, per-address failures are inline (not
-// whole-batch errors), a repeat of the same batch is one cache hit, and
-// malformed or oversized bodies answer 400.
+// whole-batch errors), a repeat of the same batch answers the same
+// bytes, and malformed or oversized bodies answer 400.
 func TestBatchEndpoint(t *testing.T) {
 	sys := smallSystem(t)
 	m := sys.MapInterconnections()
@@ -455,16 +272,9 @@ func TestBatchEndpoint(t *testing.T) {
 		t.Fatalf("unparsable address result %+v, want inline error", r)
 	}
 
-	// The whole batch occupies one cache key: a repeat is one hit.
-	hits := s.hits.Value()
-	if rec = postBatch(h, string(body)); rec.Code != http.StatusOK {
-		t.Fatalf("repeat batch status %d", rec.Code)
-	}
-	if s.hits.Value() != hits+1 {
-		t.Fatalf("repeat batch hits %d, want %d", s.hits.Value(), hits+1)
-	}
-	if got2 := decode[batchResponse](t, rec); !reflect.DeepEqual(got2, got) {
-		t.Fatal("cached batch response differs from the rendered one")
+	first := rec.Body.String()
+	if rec = postBatch(h, string(body)); rec.Code != http.StatusOK || rec.Body.String() != first {
+		t.Fatalf("repeat batch status %d, body %q; want 200 and %q", rec.Code, rec.Body, first)
 	}
 
 	if rec = postBatch(h, `{"not":"an array"}`); rec.Code != http.StatusBadRequest {
@@ -512,7 +322,7 @@ func TestStreamEndpoint(t *testing.T) {
 }
 
 // TestDeltaIngestion drives POST /v1/deltas: the epoch advances, the
-// response names it, the cache is invalidated wholesale, and a
+// response names it, reads serve the new epoch at once, and a
 // malformed body is rejected without touching the system.
 func TestDeltaIngestion(t *testing.T) {
 	sys := smallSystem(t)
@@ -520,12 +330,9 @@ func TestDeltaIngestion(t *testing.T) {
 	s := startServer(t, sys, Options{})
 	h := s.Handler()
 
-	// Warm the cache at epoch 0.
 	ips, _ := sampleQueries(m0, 2, 1)
-	get(h, "/v1/interface/"+ips[0])
-	get(h, "/v1/snapshot")
-	if s.cache.len() == 0 {
-		t.Fatal("cache not warmed")
+	if got := decode[interfaceResponse](t, get(h, "/v1/interface/"+ips[0])); got.Epoch != 0 {
+		t.Fatalf("pre-swap interface epoch %d, want 0", got.Epoch)
 	}
 
 	rec := postDeltas(t, h, mixedChurn(t, sys, 30, 11))
@@ -540,9 +347,8 @@ func TestDeltaIngestion(t *testing.T) {
 		t.Fatalf("system epoch %d after POST, want 1", cur.Epoch())
 	}
 
-	// The warmed entries died with epoch 0.
-	if _, ok := s.cache.get(0, cacheKey{route: routeSnapshot}); ok {
-		t.Fatal("epoch-0 cache entry survived the swap")
+	if got := decode[interfaceResponse](t, get(h, "/v1/interface/"+ips[0])); got.Epoch != 1 {
+		t.Fatalf("post-swap interface epoch %d, want 1", got.Epoch)
 	}
 	snap := decode[snapshotResponse](t, get(h, "/v1/snapshot"))
 	if snap.Epoch != 1 {
@@ -594,7 +400,7 @@ func TestConcurrencyLimit(t *testing.T) {
 // run under -race in CI: queries racing a stream of Apply batches
 // never observe a torn snapshot — every response is consistent with
 // exactly one published epoch — and once the last batch lands, fresh
-// queries serve the final epoch with no stale cache.
+// queries serve the final epoch.
 func TestConcurrentEpochConsistency(t *testing.T) {
 	sys := smallSystem(t)
 	m0 := sys.MapInterconnections()
@@ -836,28 +642,69 @@ func TestConcurrentEpochConsistency(t *testing.T) {
 		t.Fatalf("final epoch %d, want 3", final)
 	}
 
-	// No stale cache after the last swap: fresh queries of every kind
-	// answer the final epoch and match the final snapshot exactly.
+	// Nothing stale after the last swap: fresh queries answer the final
+	// epoch and match the final snapshot exactly.
 	cur := sys.Current()
 	if cur.Epoch() != final {
 		t.Fatalf("Current epoch %d, want %d", cur.Epoch(), final)
 	}
 	for _, ip := range ips {
-		// Twice: the second answer must come from the final epoch's cache.
-		for i := 0; i < 2; i++ {
-			got := decode[interfaceResponse](t, get(h, "/v1/interface/"+ip))
-			if got.Epoch != final {
-				t.Fatalf("post-drain interface query answered epoch %d, want %d", got.Epoch, final)
-			}
+		got := decode[interfaceResponse](t, get(h, "/v1/interface/"+ip))
+		if got.Epoch != final {
+			t.Fatalf("post-drain interface query answered epoch %d, want %d", got.Epoch, final)
 		}
 	}
 	snap := decode[snapshotResponse](t, get(h, "/v1/snapshot"))
 	if snap.Epoch != final || snap.SnapshotSummary != cur.Summarize() {
 		t.Fatalf("post-drain snapshot stale: %+v", snap)
 	}
-	if s.hits.Value() == 0 || s.misses.Value() == 0 {
-		t.Fatalf("cache never exercised (hits=%d misses=%d)", s.hits.Value(), s.misses.Value())
+}
+
+// startFollow runs the tailer on a fresh log path for the test's
+// lifetime; cleanup cancels it and checks it exited with ctx's error.
+func startFollow(t *testing.T, s *Server) string {
+	t.Helper()
+	path := t.TempDir() + "/churn.jsonl"
+	ctx, cancel := context.WithCancel(context.Background())
+	followDone := make(chan error, 1)
+	go func() { followDone <- s.Follow(ctx, path, 5*time.Millisecond, 256) }()
+	t.Cleanup(func() {
+		cancel()
+		if err := <-followDone; err != context.Canceled {
+			t.Errorf("Follow returned %v, want context.Canceled", err)
+		}
+	})
+	return path
+}
+
+// waitCount waits until counter c reads exactly want; overshooting
+// means something was counted that should not have been, so it fails
+// at once rather than waiting out the deadline.
+func waitCount(t *testing.T, c *obs.Counter, want int64) {
+	t.Helper()
+	deadline := time.Now().Add(10 * time.Second)
+	for {
+		got := c.Value()
+		if got == want {
+			return
+		}
+		if got > want {
+			t.Fatalf("counter at %d, want exactly %d", got, want)
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("counter never reached %d (at %d)", want, got)
+		}
+		time.Sleep(2 * time.Millisecond)
 	}
+}
+
+func encodeJSONL(t *testing.T, log []delta.Delta) []byte {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := delta.EncodeJSONL(&buf, log); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
 }
 
 // TestFollowTail drives the file-tail ingestion path: batches appended
@@ -867,59 +714,90 @@ func TestFollowTail(t *testing.T) {
 	sys := smallSystem(t)
 	sys.MapInterconnections()
 	s := startServer(t, sys, Options{})
-
-	path := t.TempDir() + "/churn.jsonl"
-	ctx, cancel := context.WithCancel(context.Background())
-	followDone := make(chan error, 1)
-	go func() { followDone <- s.Follow(ctx, path, 5*time.Millisecond, 256) }()
-
-	waitEpoch := func(want int) {
-		t.Helper()
-		deadline := time.Now().Add(10 * time.Second)
-		for {
-			if cur := sys.Current(); cur.Epoch() >= want {
-				return
-			}
-			if time.Now().After(deadline) {
-				t.Fatalf("epoch never reached %d (at %d)", want, sys.Current().Epoch())
-			}
-			time.Sleep(2 * time.Millisecond)
-		}
-	}
+	path := startFollow(t, s)
 
 	churn := mixedChurn(t, sys, 40, 21)
-	var buf bytes.Buffer
-	if err := delta.EncodeJSONL(&buf, churn[:20]); err != nil {
-		t.Fatal(err)
-	}
-	appendFile(t, path, buf.Bytes())
-	waitEpoch(1)
+	appendFile(t, path, encodeJSONL(t, churn[:20]))
+	waitCount(t, s.applied, 20)
 
-	// A record split across two writes must not be torn: write half a
-	// line plus garbage-free prefix, then the rest.
-	buf.Reset()
-	if err := delta.EncodeJSONL(&buf, churn[20:]); err != nil {
-		t.Fatal(err)
-	}
-	line := buf.Bytes()
-	appendFile(t, path, line[:len(line)/2])
-	time.Sleep(20 * time.Millisecond) // a few polls with the partial line pending
-	before := sys.Current().Epoch()
-	appendFile(t, path, line[len(line)/2:])
-	waitEpoch(before + 1)
+	// A record split across two writes must not be torn: every record
+	// but the last lands whole, the last one only half, and it applies
+	// once its second half arrives.
+	last := encodeJSONL(t, churn[39:])
+	appendFile(t, path, encodeJSONL(t, churn[20:39]))
+	appendFile(t, path, last[:len(last)/2])
+	waitCount(t, s.applied, 39)
+	appendFile(t, path, last[len(last)/2:])
+	waitCount(t, s.applied, 40)
 
 	// Malformed lines are counted and skipped, valid ones still apply.
 	bad := s.followBad.Value()
 	appendFile(t, path, []byte(`{"kind":"frobnicate"}`+"\n"))
 	appendFile(t, path, []byte(`{"kind":"session_down","peer_ip":"10.9.9.9","peer_as":64999}`+"\n"))
-	waitEpoch(before + 2)
+	waitCount(t, s.applied, 41)
 	if s.followBad.Value() != bad+1 {
 		t.Fatalf("bad-line counter %d, want %d", s.followBad.Value(), bad+1)
 	}
+}
 
-	cancel()
-	if err := <-followDone; err != context.Canceled {
-		t.Fatalf("Follow returned %v, want context.Canceled", err)
+// TestFollowTruncatedLog: a log truncated and rewritten below the read
+// offset is read again from its start, so its new records apply
+// instead of the tail stalling past EOF.
+func TestFollowTruncatedLog(t *testing.T) {
+	sys := smallSystem(t)
+	sys.MapInterconnections()
+	s := startServer(t, sys, Options{})
+	path := startFollow(t, s)
+
+	churn := mixedChurn(t, sys, 24, 31)
+	appendFile(t, path, encodeJSONL(t, churn[:20]))
+	waitCount(t, s.applied, 20)
+
+	if err := os.WriteFile(path, encodeJSONL(t, churn[20:]), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	waitCount(t, s.applied, 24)
+	if bad := s.followBad.Value(); bad != 0 {
+		t.Fatalf("bad-line counter %d after the rewrite, want 0", bad)
+	}
+}
+
+// TestFollowRotatedLog: when the log is renamed away and a new file
+// takes its path, the tail moves to the new file even when it is
+// already longer than the old read offset.
+func TestFollowRotatedLog(t *testing.T) {
+	sys := smallSystem(t)
+	sys.MapInterconnections()
+	s := startServer(t, sys, Options{})
+	path := startFollow(t, s)
+
+	churn := mixedChurn(t, sys, 30, 41)
+	appendFile(t, path, encodeJSONL(t, churn[:5]))
+	waitCount(t, s.applied, 5)
+
+	if err := os.Rename(path, path+".1"); err != nil {
+		t.Fatal(err)
+	}
+	appendFile(t, path, encodeJSONL(t, churn[5:]))
+	waitCount(t, s.applied, 30)
+}
+
+// TestFollowOverlongLine: a newline-free run longer than maxDeltaBody
+// is one bad line as soon as it passes the bound, not unbounded
+// buffering while the tail waits for a newline, and the tail resumes
+// at the next newline.
+func TestFollowOverlongLine(t *testing.T) {
+	sys := smallSystem(t)
+	sys.MapInterconnections()
+	s := startServer(t, sys, Options{})
+	path := startFollow(t, s)
+
+	appendFile(t, path, bytes.Repeat([]byte("x"), 9<<20))
+	waitCount(t, s.followBad, 1)
+	appendFile(t, path, []byte("xx\n"+`{"kind":"session_down","peer_ip":"10.9.9.9","peer_as":64999}`+"\n"))
+	waitCount(t, s.applied, 1)
+	if bad := s.followBad.Value(); bad != 1 {
+		t.Fatalf("bad-line counter %d, want 1", bad)
 	}
 }
 
@@ -945,8 +823,7 @@ func TestNoGoroutineLeakAcrossDaemonCycles(t *testing.T) {
 		followDone := make(chan error, 1)
 		go func() { followDone <- s.Follow(ctx, path, 2*time.Millisecond, 64) }()
 
-		// Exercise the request path so route goroutines (timeout
-		// handler, concurrency bound) spin up and wind down too.
+		// Exercise the request path (routing, concurrency bound) too.
 		h := s.Handler()
 		if rec := get(h, "/v1/snapshot"); rec.Code != http.StatusOK {
 			t.Fatalf("snapshot query: %d %s", rec.Code, rec.Body.String())

@@ -7,14 +7,15 @@
 #   1. initial snapshot is epoch 0 with a populated mapping
 #   2. interface lookups answer 200 (known), 404 (unknown), 400 (garbage)
 #   3. POST /v1/deltas applies a worldgen churn batch and names epoch 1
-#   4. the epoch cache swapped: /v1/snapshot now serves epoch 1
+#   4. reads swapped with the epoch: /v1/snapshot now serves epoch 1
 #   5. POST /v1/interfaces:batch answers every address from one epoch,
-#      with per-address errors inline, and a repeat batch hits the cache
+#      with per-address errors inline, and a repeat batch answers the
+#      same bytes
 #   6. GET /v1/interfaces/stream dumps every inference as NDJSON with
 #      the epoch in the X-CFS-Epoch header
 #   7. worldgen -churn -out appends to the followed log; the tail
 #      applies it and the epoch advances again without any HTTP write
-#   8. /metrics accounts for the requests and cache traffic
+#   8. /metrics accounts for the requests and applied records
 #   9. SIGTERM drains gracefully (exit code 0)
 #
 # Needs curl and jq. Run from the repo root: make serve-smoke
@@ -68,9 +69,6 @@ curl -sf "$BASE/v1/interface/$IP" | jq -e --arg ip "$IP" \
 [ "$(curl -s -o /dev/null -w '%{http_code}' "$BASE/v1/interface/not-an-ip")" = 400 ] \
   || fail "garbage interface should 400"
 
-# Repeat the lookup to exercise the epoch cache before the swap.
-curl -sf "$BASE/v1/interface/$IP" >/dev/null
-
 # 3. One delta batch over HTTP: the epoch must advance to 1 and the
 # response must account for every record.
 "$TMP/worldgen" -profile small -seed 1 -churn 25 > "$TMP/batch.jsonl"
@@ -79,11 +77,11 @@ echo "serve-smoke: posted batch: $POSTED"
 jq -e '.epoch == 1 and .applied == 25' <<<"$POSTED" >/dev/null \
   || fail "delta POST did not advance to epoch 1"
 
-# 4. The cache swapped wholesale: reads now serve epoch 1.
+# 4. Reads swapped with the epoch: they now serve epoch 1.
 curl -sf "$BASE/v1/snapshot" | jq -e '.epoch == 1' >/dev/null \
   || fail "snapshot still serving a pre-swap epoch"
 curl -sf "$BASE/v1/interface/$IP" | jq -e '.epoch == 1' >/dev/null \
-  || fail "interface cache entry outlived its epoch"
+  || fail "interface lookup still serving a pre-swap epoch"
 
 # 5. A batch: known, unknown and garbage addresses in one POST, every
 # answer from the same epoch, errors inline per address.
@@ -96,12 +94,10 @@ jq -e --arg ip "$IP" '
   and .results[1].error == "no inference recorded"
   and .results[2].error == "unparsable address"' <<<"$BATCH" >/dev/null \
   || fail "batch response malformed"
-# A byte-identical repeat must come from the epoch cache.
-HITS_BEFORE="$(curl -sf "$BASE/metrics" | jq '.counters["serve.cache.hits"]')"
-curl -sf -X POST -H 'Content-Type: application/json' \
-  --data-binary "[\"$IP\",\"203.0.113.254\",\"not-an-ip\"]" "$BASE/v1/interfaces:batch" >/dev/null
-HITS_AFTER="$(curl -sf "$BASE/metrics" | jq '.counters["serve.cache.hits"]')"
-[ "$HITS_AFTER" -gt "$HITS_BEFORE" ] || fail "repeat batch missed the epoch cache"
+# A repeat within the same epoch must answer byte-identical.
+REPEAT="$(curl -sf -X POST -H 'Content-Type: application/json' \
+  --data-binary "[\"$IP\",\"203.0.113.254\",\"not-an-ip\"]" "$BASE/v1/interfaces:batch")"
+[ "$REPEAT" = "$BATCH" ] || fail "repeat batch answered different bytes: $REPEAT"
 
 # 6. The stream: one NDJSON record per interface, epoch in the header,
 # record count agreeing with the snapshot digest.
@@ -126,15 +122,14 @@ done
 [ "$EPOCH" -ge 2 ] || fail "followed churn log never applied (epoch $EPOCH)"
 echo "serve-smoke: follow tail applied, epoch $EPOCH"
 
-# 6. Metrics accounted for the traffic.
+# 8. Metrics accounted for the traffic.
 curl -sf "$BASE/metrics" | jq -e '
   .counters["serve.http.requests.snapshot"] > 0
   and .counters["serve.http.requests.interface"] > 0
-  and .counters["serve.cache.hits"] > 0
   and .counters["serve.deltas.applied"] >= 25
   and .gauges["serve.epoch"] >= 2' >/dev/null || fail "metrics do not account for the traffic"
 
-# 7. Graceful drain on SIGTERM.
+# 9. Graceful drain on SIGTERM.
 kill -TERM "$CFSD_PID"
 for _ in $(seq 1 50); do
   kill -0 "$CFSD_PID" 2>/dev/null || break
