@@ -29,10 +29,9 @@ build:
 test:
 	go test ./...
 
-# The CFS engine fans pure phases out over a worker pool; run its tests
-# (and the trace simulator's) under the race detector. internal/serve
-# rides along: its epoch-consistency test races concurrent queries
-# against live Apply batches.
+# Run the CFS engine's tests (and the trace simulator's) under the race
+# detector. internal/serve rides along: its epoch-consistency test races
+# concurrent queries against live Apply batches.
 race:
 	go test -race ./internal/cfs/... ./internal/trace/... ./internal/serve/...
 
@@ -49,11 +48,10 @@ bench:
 	go run ./cmd/cfsbench -profile $(BENCH_PROFILE) -runs $(BENCH_RUNS) $(BENCH_FLAGS) -out BENCH_cfs.json
 
 # Internet-scale benchmark: the Large world under a budgeted iteration
-# count, unsharded worklist vs the metro-sharded scheduler. Minutes of
-# wall clock; the nightly CI job runs it and tracks shard_speedup_x.
-BENCH_SHARDS ?= 8
+# count, worklist engine only. Minutes of wall clock; the nightly CI job
+# runs it.
 bench-large:
-	go run ./cmd/cfsbench -profile large -shards $(BENCH_SHARDS) -runs 1 -out BENCH_cfs_large.json
+	go run ./cmd/cfsbench -profile large -runs 1 -out BENCH_cfs_large.json
 
 # The figure/table reproduction benchmarks (go test -bench).
 bench-figures:

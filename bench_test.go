@@ -233,67 +233,16 @@ func BenchmarkCFSFullRun(b *testing.B) {
 	b.ReportMetric(float64(len(res.Interfaces)), "interfaces")
 }
 
-// ---- parallel execution -----------------------------------------------------
-
-// benchCFSWorkers runs the full default-world pipeline with a fixed
-// worker count. Every count produces the identical result (see
-// internal/cfs TestParallelMatchesSerial); the benches measure only the
-// wall-clock effect of fanning the pure phases out.
-func benchCFSWorkers(b *testing.B, workers int) {
-	e := benchEnv()
-	cfg := cfs.DefaultConfig()
-	cfg.Workers = workers
-	var res *cfs.Result
-	for i := 0; i < b.N; i++ {
-		res = e.RunCFS(cfg)
-	}
-	b.ReportMetric(100*res.ResolvedFraction(), "resolved_pct")
-}
-
-func BenchmarkCFSParallelWorkers1(b *testing.B)   { benchCFSWorkers(b, 1) }
-func BenchmarkCFSParallelWorkers2(b *testing.B)   { benchCFSWorkers(b, 2) }
-func BenchmarkCFSParallelWorkers4(b *testing.B)   { benchCFSWorkers(b, 4) }
-func BenchmarkCFSParallelWorkersMax(b *testing.B) { benchCFSWorkers(b, 0) }
-
-// BenchmarkCFSParallelSpeedup times a serial (Workers=1) and a
-// parallel (Workers=GOMAXPROCS) run back to back and reports the ratio
-// as speedup_x.
-func BenchmarkCFSParallelSpeedup(b *testing.B) {
-	e := benchEnv()
-	serial := cfs.DefaultConfig()
-	serial.MaxIterations = 10
-	serial.FollowUpBudget = 200
-	serial.AliasRounds = []int{1, 5}
-	parallel := serial
-	serial.Workers = 1
-	parallel.Workers = 0
-	var serialNS, parallelNS int64
-	for i := 0; i < b.N; i++ {
-		t0 := time.Now()
-		e.RunCFS(serial)
-		t1 := time.Now()
-		e.RunCFS(parallel)
-		t2 := time.Now()
-		serialNS += t1.Sub(t0).Nanoseconds()
-		parallelNS += t2.Sub(t1).Nanoseconds()
-	}
-	if parallelNS > 0 {
-		b.ReportMetric(float64(serialNS)/float64(parallelNS), "speedup_x")
-	}
-}
-
 // ---- worklist engine --------------------------------------------------------
 
 // trimmedCFS is the trimmed default-world configuration the engine
-// benches share (mirrors BenchmarkCFSParallelSpeedup's operating
-// point).
-func trimmedCFS(engine string, workers int) cfs.Config {
+// benches share.
+func trimmedCFS(engine string) cfs.Config {
 	cfg := cfs.DefaultConfig()
 	cfg.MaxIterations = 10
 	cfg.FollowUpBudget = 200
 	cfg.AliasRounds = []int{1, 5}
 	cfg.Engine = engine
-	cfg.Workers = workers
 	return cfg
 }
 
@@ -308,9 +257,9 @@ func sumWork(res *cfs.Result) (dirty, recomputed float64) {
 // benchCFSEngine runs the trimmed default-world pipeline under one
 // engine and reports the per-run work counters alongside the timing,
 // so `go test -bench CFSWorklist` shows the dirty-set win directly.
-func benchCFSEngine(b *testing.B, engine string, workers int) {
+func benchCFSEngine(b *testing.B, engine string) {
 	e := benchEnv()
-	cfg := trimmedCFS(engine, workers)
+	cfg := trimmedCFS(engine)
 	var res *cfs.Result
 	for i := 0; i < b.N; i++ {
 		res = e.RunCFS(cfg)
@@ -321,19 +270,17 @@ func benchCFSEngine(b *testing.B, engine string, workers int) {
 	b.ReportMetric(100*res.ResolvedFraction(), "resolved_pct")
 }
 
-func BenchmarkCFSWorklistWorkers1(b *testing.B)   { benchCFSEngine(b, cfs.EngineWorklist, 1) }
-func BenchmarkCFSWorklistWorkersMax(b *testing.B) { benchCFSEngine(b, cfs.EngineWorklist, 0) }
-func BenchmarkCFSRescanWorkers1(b *testing.B)     { benchCFSEngine(b, cfs.EngineRescan, 1) }
-func BenchmarkCFSRescanWorkersMax(b *testing.B)   { benchCFSEngine(b, cfs.EngineRescan, 0) }
+func BenchmarkCFSWorklist(b *testing.B) { benchCFSEngine(b, cfs.EngineWorklist) }
+func BenchmarkCFSRescan(b *testing.B)   { benchCFSEngine(b, cfs.EngineRescan) }
 
 // BenchmarkCFSWorklistSpeedup times a rescan and a worklist run back to
-// back at Workers=1 (pure scheduling effect, no pool) and reports the
-// wall-clock ratio plus both engines' recomputed-proposal totals. The
-// differential test guarantees the two runs return identical results.
+// back and reports the wall-clock ratio plus both engines'
+// recomputed-proposal totals. The differential test guarantees the two
+// runs return identical results.
 func BenchmarkCFSWorklistSpeedup(b *testing.B) {
 	e := benchEnv()
-	rescan := trimmedCFS(cfs.EngineRescan, 1)
-	worklist := trimmedCFS(cfs.EngineWorklist, 1)
+	rescan := trimmedCFS(cfs.EngineRescan)
+	worklist := trimmedCFS(cfs.EngineWorklist)
 	var rescanNS, worklistNS int64
 	var rescanRes, worklistRes *cfs.Result
 	for i := 0; i < b.N; i++ {
@@ -354,9 +301,9 @@ func BenchmarkCFSWorklistSpeedup(b *testing.B) {
 	b.ReportMetric(wr, "worklist_recomputed")
 }
 
-// BenchmarkMergeParallel exercises the worker-pool incremental merge
-// over three runs of the small world.
-func BenchmarkMergeParallel(b *testing.B) {
+// BenchmarkMerge exercises the incremental merge over three runs of the
+// small world.
+func BenchmarkMerge(b *testing.B) {
 	e := benchSmallEnv()
 	results := []*cfs.Result{
 		e.RunCFS(fastCFS()), e.RunCFS(fastCFS()), e.RunCFS(fastCFS()),

@@ -5,12 +5,9 @@
 // the engines see bit-for-bit identical inputs; the tool fails if any
 // two engines disagree on the resolved count.
 //
-// -shards N adds a third entry, "sharded": the worklist core under the
-// metro-sharded converge/exchange scheduler with N shards. The report
-// then also carries shard_speedup_x, the worklist-to-sharded wall-time
-// ratio. -profile large benchmarks the internet-scale world under a
-// tight iteration budget (worklist vs sharded only — a paper-literal
-// full rescan is pointless at that scale); its report belongs in
+// -profile large benchmarks the internet-scale world under a tight
+// iteration budget, worklist engine only (a paper-literal full rescan
+// is pointless at that scale); its report belongs in
 // BENCH_cfs_large.json, separate from the small-world artifact CI
 // gates on.
 //
@@ -44,7 +41,7 @@
 // Usage:
 //
 //	cfsbench [-profile small|medium|default|paper|large] [-seed N] [-runs N]
-//	         [-shards N] [-out FILE] [-max-overhead X] [-baseline FILE]
+//	         [-out FILE] [-max-overhead X] [-baseline FILE]
 //	         [-max-regress R] [-incremental N] [-serve]
 package main
 
@@ -87,17 +84,12 @@ type engineReport struct {
 }
 
 type report struct {
-	Profile      string `json:"profile"`
-	Seed         int64  `json:"seed"`
-	Runs         int    `json:"runs"`
-	GoMaxProcs   int    `json:"go_max_procs"`
-	PeakRSSBytes int64  `json:"peak_rss_bytes"`
-	// Shards is the -shards setting of the "sharded" entry (0 when the
-	// sharded engine was not benchmarked); ShardSpeedupX is the
-	// unsharded worklist's ns_per_op over the sharded engine's.
-	Shards        int            `json:"shards,omitempty"`
-	ShardSpeedupX float64        `json:"shard_speedup_x,omitempty"`
-	Engines       []engineReport `json:"engines"`
+	Profile      string         `json:"profile"`
+	Seed         int64          `json:"seed"`
+	Runs         int            `json:"runs"`
+	GoMaxProcs   int            `json:"go_max_procs"`
+	PeakRSSBytes int64          `json:"peak_rss_bytes"`
+	Engines      []engineReport `json:"engines"`
 
 	// The -incremental scenario: mean re-convergence time of one
 	// single-AS facility delta applied to a converged pipeline
@@ -131,17 +123,10 @@ type report struct {
 	ServeStreamNsPerIf      int64   `json:"serve_stream_ns_per_if,omitempty"`
 }
 
-// engineSpec names one benchmark entry: the report label plus the full
-// CFS configuration it runs under.
-type engineSpec struct {
-	label string
-	cfg   cfs.Config
-}
-
-// benchSpecs builds the entry list for a profile: worklist and rescan
-// for the curated profiles, worklist only for the internet-scale one,
-// plus a "sharded" entry when -shards is set.
-func benchSpecs(profile string, shards int) []engineSpec {
+// benchSpecs builds the engine configurations for a profile: worklist
+// and rescan for the curated profiles, worklist only for the
+// internet-scale one.
+func benchSpecs(profile string) []cfs.Config {
 	base := cfs.DefaultConfig()
 	if profile == "large" {
 		// The budgeted internet-scale operating point: every subsystem
@@ -153,18 +138,14 @@ func benchSpecs(profile string, shards int) []engineSpec {
 		base.VPsPerTarget = 1
 		base.AliasRounds = []int{1}
 	}
-	withEngine := func(engine string, shards int) cfs.Config {
+	withEngine := func(engine string) cfs.Config {
 		c := base
 		c.Engine = engine
-		c.Shards = shards
 		return c
 	}
-	specs := []engineSpec{{cfs.EngineWorklist, withEngine(cfs.EngineWorklist, 0)}}
+	specs := []cfs.Config{withEngine(cfs.EngineWorklist)}
 	if profile != "large" {
-		specs = append(specs, engineSpec{cfs.EngineRescan, withEngine(cfs.EngineRescan, 0)})
-	}
-	if shards > 0 {
-		specs = append(specs, engineSpec{"sharded", withEngine(cfs.EngineWorklist, shards)})
+		specs = append(specs, withEngine(cfs.EngineRescan))
 	}
 	return specs
 }
@@ -174,7 +155,6 @@ func main() {
 		profile     = flag.String("profile", "small", "world profile: small, medium, default, paper or large")
 		seed        = flag.Int64("seed", 42, "simulation seed")
 		runs        = flag.Int("runs", 3, "timed runs per engine per mode (fresh environment each)")
-		shards      = flag.Int("shards", 0, "also benchmark the metro-sharded scheduler with this many shards (0 = skip)")
 		out         = flag.String("out", "BENCH_cfs.json", "output file")
 		maxOverhead = flag.Float64("max-overhead", 0, "fail when obs-on/obs-off wall-time ratio exceeds this (0 = no gate)")
 		baseline    = flag.String("baseline", "", "previous report to compare against (read before -out is overwritten)")
@@ -240,15 +220,15 @@ func main() {
 		Runs:       *runs,
 		GoMaxProcs: runtime.GOMAXPROCS(0),
 	}
-	for _, spec := range benchSpecs(*profile, *shards) {
-		er, err := measure(wcfg, *seed, spec, *runs)
+	for _, cfg := range benchSpecs(*profile) {
+		er, err := measure(wcfg, *seed, cfg, *runs)
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "cfsbench: %v\n", err)
 			os.Exit(1)
 		}
 		rep.Engines = append(rep.Engines, er)
 		fmt.Printf("%-9s %12d ns/op  %12d ns/op(observed)  %9d allocs/op  %10d B/op  %8d probes  %8d recomputed  %6d narrowings\n",
-			spec.label, er.NsPerOp, er.NsPerOpObserved, er.AllocsPerOp, er.BytesPerOp,
+			cfg.Engine, er.NsPerOp, er.NsPerOpObserved, er.AllocsPerOp, er.BytesPerOp,
 			er.ProbesIssued, er.ProposalsRecomputed, er.Narrowings)
 	}
 	for i, a := range rep.Engines {
@@ -258,22 +238,6 @@ func main() {
 					a.Engine, a.Resolved, a.Interfaces, b.Engine, b.Resolved, b.Interfaces)
 				os.Exit(1)
 			}
-		}
-	}
-	if *shards > 0 {
-		rep.Shards = *shards
-		var wl, sh *engineReport
-		for i := range rep.Engines {
-			switch rep.Engines[i].Engine {
-			case cfs.EngineWorklist:
-				wl = &rep.Engines[i]
-			case "sharded":
-				sh = &rep.Engines[i]
-			}
-		}
-		if wl != nil && sh != nil && sh.NsPerOp > 0 {
-			rep.ShardSpeedupX = float64(wl.NsPerOp) / float64(sh.NsPerOp)
-			fmt.Printf("shard speedup (%d shards): %.2fx\n", *shards, rep.ShardSpeedupX)
 		}
 	}
 	if *incremental > 0 {
@@ -488,9 +452,8 @@ func checkRegression(base, fresh *report, frac float64) error {
 // faster than the unobserved one (overhead 0.94x — pure noise). One
 // untimed warmup per mode followed by strict off/on interleaving makes
 // the two series sample the same machine conditions.
-func measure(wcfg world.Config, seed int64, spec engineSpec, runs int) (engineReport, error) {
-	cfg := spec.cfg
-	er := engineReport{Engine: spec.label}
+func measure(wcfg world.Config, seed int64, cfg cfs.Config, runs int) (engineReport, error) {
+	er := engineReport{Engine: cfg.Engine}
 
 	for _, observe := range []bool{false, true} {
 		if _, err := oneRun(wcfg, seed, cfg, observe, &er); err != nil {

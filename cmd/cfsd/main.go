@@ -5,8 +5,7 @@
 // Usage:
 //
 //	cfsd [-addr :8080] [-profile small|medium|default|paper|large] [-seed N]
-//	     [-iterations N] [-workers N] [-engine worklist|rescan] [-shards N]
-//	     [-follow churn.jsonl] [-poll 1s] [-batch N] [-inflight N] [-grace 10s]
+//	     [-iterations N] [-follow churn.jsonl] [-poll 1s] [-batch N] [-inflight N] [-grace 10s]
 //
 // Endpoints:
 //
@@ -62,9 +61,6 @@ func main() {
 		profile    = flag.String("profile", "small", "world profile: small, medium, default, paper or large")
 		seed       = flag.Int64("seed", 42, "simulation seed")
 		iterations = flag.Int("iterations", 100, "CFS iteration cap")
-		workers    = flag.Int("workers", 0, "worker goroutines for the parallel search phases (0 = one per CPU)")
-		engine     = flag.String("engine", "", "CFS iteration core: worklist (default) or rescan; deltas need worklist")
-		shards     = flag.Int("shards", 0, "metro-cluster shards for the worklist engine (0 = unsharded)")
 		follow     = flag.String("follow", "", "tail this JSONL churn log (see worldgen -churn -out) and apply new records")
 		poll       = flag.Duration("poll", time.Second, "poll interval for -follow")
 		batch      = flag.Int("batch", 256, "max records per epoch when applying a -follow tail")
@@ -77,9 +73,6 @@ func main() {
 		Profile:       *profile,
 		Seed:          *seed,
 		MaxIterations: *iterations,
-		Workers:       *workers,
-		Engine:        *engine,
-		Shards:        *shards,
 	})
 	if err != nil {
 		fatal(err)
@@ -95,9 +88,8 @@ func main() {
 		len(m.Result().Interfaces), m.Result().Resolved())
 
 	srv := serve.New(sys, serve.Options{
-		MaxInFlight:        *inflight,
-		MaterializeWorkers: *workers,
-		Obs:                obs.New(0),
+		MaxInFlight: *inflight,
+		Obs:         obs.New(0),
 	})
 
 	// The writer loop owns every Apply; canceling writerCtx begins the

@@ -98,8 +98,8 @@ func TestMaterializeEquivalence(t *testing.T) {
 }
 
 // TestMaterializeDeterministic: the rendered tables are byte-identical
-// regardless of fold width — the same index-addressed sharding contract
-// the CFS engine keeps.
+// regardless of fold width — the fold is index-addressed, so output
+// order never depends on goroutine scheduling.
 func TestMaterializeDeterministic(t *testing.T) {
 	collect := func(workers int) (blobs [][]byte, pairs int) {
 		sys := smallSystem(t)

@@ -54,21 +54,11 @@ type Config struct {
 	Seed int64
 	// MaxIterations bounds the CFS loop (paper: 100).
 	MaxIterations int
-	// Workers bounds the goroutines used for the parallel phases of the
-	// search. 0 means one worker per available CPU; 1 runs fully
-	// serially. Every worker count produces the identical mapping.
+	// Deprecated: has no effect; CFS runs serially.
 	Workers int
-	// Engine selects the CFS iteration core: "worklist" (incremental
-	// dirty-set propagation, the default — "" resolves to it) or
-	// "rescan" (reprocess everything each iteration). Both produce the
-	// identical mapping; the flag only trades engine bookkeeping for
-	// per-iteration work.
+	// Deprecated: has no effect; CFS runs serially.
 	Engine string
-	// Shards > 0 layers the metro-sharded converge/exchange scheduler
-	// on top of the worklist engine: the dirty frontier is partitioned
-	// by metro cluster and converged concurrently, with a deterministic
-	// exchange round for cross-shard constraints. Every shard count
-	// produces the identical mapping. Requires the worklist engine.
+	// Deprecated: has no effect; CFS runs serially.
 	Shards int
 	// Explain records, per interface, the constraints that produced its
 	// inference; Lookup then returns them as Evidence.
@@ -117,15 +107,6 @@ func NewSystem(cfg Config) (*System, error) {
 	default:
 		return nil, fmt.Errorf("facilitymap: unknown profile %q", cfg.Profile)
 	}
-	switch cfg.Engine {
-	case "", cfs.EngineWorklist, cfs.EngineRescan:
-	default:
-		return nil, fmt.Errorf("facilitymap: unknown engine %q (want %q or %q)",
-			cfg.Engine, cfs.EngineWorklist, cfs.EngineRescan)
-	}
-	if cfg.Shards > 0 && cfg.Engine == cfs.EngineRescan {
-		return nil, fmt.Errorf("facilitymap: Shards requires the worklist engine, not %q", cfg.Engine)
-	}
 	// The configured seed is honored verbatim, zero included: silently
 	// falling back to the profile default made Seed==0 the one value
 	// that could not be asked for, and masked forgotten-seed bugs in
@@ -141,11 +122,6 @@ func (s *System) MapInterconnections() *Mapping {
 	if s.cfg.MaxIterations > 0 {
 		c.MaxIterations = s.cfg.MaxIterations
 	}
-	c.Workers = s.cfg.Workers
-	if s.cfg.Engine != "" {
-		c.Engine = s.cfg.Engine
-	}
-	c.Shards = s.cfg.Shards
 	c.TraceProvenance = s.cfg.Explain
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -328,8 +304,8 @@ func (m *Mapping) Interfaces() []InterfaceInfo {
 	return out
 }
 
-// foldWorkers resolves a worker count the way cfs.Config.Workers does:
-// 0 (or negative) means one per available CPU.
+// foldWorkers resolves a Materialize worker count: 0 (or negative)
+// means one per available CPU.
 func foldWorkers(workers int) int {
 	if workers <= 0 {
 		return runtime.GOMAXPROCS(0)
@@ -338,11 +314,10 @@ func foldWorkers(workers int) int {
 }
 
 // parallelFold splits [0, n) into at most `workers` contiguous chunks
-// and runs fn on each from its own goroutine, waiting for all — the
-// same index-addressed sharding the CFS engine's compute phases use,
-// so output order never depends on goroutine scheduling. fn receives a
-// dense 0-based shard index and its half-open range; with one chunk it
-// runs inline.
+// and runs fn on each from its own goroutine, waiting for all. Output
+// is index-addressed, so its order never depends on goroutine
+// scheduling. fn receives a dense 0-based shard index and its
+// half-open range; with one chunk it runs inline.
 func parallelFold(n, workers int, fn func(shard, lo, hi int)) {
 	if workers > n {
 		workers = n
@@ -402,13 +377,13 @@ func (m *Mapping) Materialize(workers int) {
 	})
 }
 
-// materialize is Materialize with the system's configured worker
-// count, used by the lazy paths.
+// materialize is Materialize with one worker per CPU, used by the lazy
+// paths.
 func (m *Mapping) materialize() *materialized {
 	if mat := m.mat.Load(); mat != nil {
 		return mat
 	}
-	m.Materialize(m.sys.cfg.Workers)
+	m.Materialize(0)
 	return m.mat.Load()
 }
 
@@ -525,10 +500,10 @@ func (m *Mapping) ASPairs() int {
 }
 
 // interconnectionIndex returns the per-AS-pair link index, building it
-// on first use with the system's configured worker count. Materialize
-// forces the build at swap time so daemon queries never pay it.
+// on first use with one worker per CPU. Materialize forces the build at
+// swap time so daemon queries never pay it.
 func (m *Mapping) interconnectionIndex() map[asPair][]int {
-	m.ixnOnce.Do(func() { m.buildInterconnectionIndex(m.sys.cfg.Workers) })
+	m.ixnOnce.Do(func() { m.buildInterconnectionIndex(0) })
 	return m.ixnIdx
 }
 

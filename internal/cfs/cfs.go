@@ -47,9 +47,8 @@ const (
 	// repaired, and alias sets with a freshly-narrowed member.
 	EngineWorklist = "worklist"
 	// EngineRescan is the paper-literal loop: every iteration rescans
-	// every adjacency and every alias set. Kept as an escape hatch and
-	// as the reference the worklist engine is differentially tested
-	// against.
+	// every adjacency and every alias set. Kept as the reference the
+	// worklist engine is differentially tested against.
 	EngineRescan = "rescan"
 )
 
@@ -75,37 +74,15 @@ type Config struct {
 	// resolution re-runs over the grown interface pool.
 	AliasRounds []int
 
-	// Workers bounds the goroutines used for the embarrassingly
-	// parallel phases of each iteration (path classification,
-	// per-adjacency constraint computation, follow-up target
-	// selection). 0 means runtime.GOMAXPROCS(0); 1 runs the exact
-	// serial code path with no goroutines. Results are bit-for-bit
-	// identical for every worker count: parallel phases are pure
-	// computations whose outputs merge on the coordinator in discovery
-	// order, and every measurement (traceroute, ping, alias probe) is
-	// issued from the coordinator in the serial order, so the
-	// simulator's probe-counter-derived randomness is untouched.
-	Workers int
-
 	// Engine selects the iteration core: EngineWorklist (incremental
 	// dirty-set propagation, the default — the empty string resolves to
 	// it) or EngineRescan (full rescan per iteration). Both produce the
 	// identical Result; see the engine differential test.
 	Engine string
 
-	// Shards > 0 layers metro-cluster sharding on top of the worklist
-	// engine: the dirty work of every iteration is partitioned by the
-	// facility cluster each adjacency is anchored to, each shard
-	// converges its partition concurrently with a persistent per-shard
-	// ownership memo, and a coordinator exchange round applies the
-	// results in ascending global order and routes cross-shard
-	// invalidations (remote peering, tethering, alias sets spanning
-	// metros) to the shards they dirty. Results are bit-for-bit
-	// identical to the unsharded worklist engine — same resolved set,
-	// narrowings, conflicts and provenance; see the sharded
-	// differential test. 0 (the default) keeps the unsharded engine;
-	// combining Shards with EngineRescan is rejected by New, since the
-	// rescan engine has no dirty sets to partition.
+	// Deprecated: has no effect; CFS runs serially.
+	Workers int
+	// Deprecated: has no effect; CFS runs serially.
 	Shards int
 
 	// Ablation switches.
@@ -140,7 +117,6 @@ func DefaultConfig() Config {
 		UseTargeted:         true,
 		UseRemoteDetection:  true,
 		UseProximity:        true,
-		Workers:             0, // auto: one worker per available CPU
 		Engine:              EngineWorklist,
 	}
 }
@@ -156,8 +132,7 @@ type Pipeline struct {
 
 	// fs interns the facility-set universe: the dense bit-slot index
 	// plus per-AS and per-IXP bitsets. Built once here (the registry is
-	// immutable within a run) and shared read-only by every state and
-	// worker goroutine.
+	// immutable within a run) and shared read-only by every state.
 	fs *facsets
 
 	// m holds the pre-resolved observability handles (all nil-safe
@@ -258,10 +233,6 @@ func New(cfg Config, db *registry.Database, ipasn *ip2asn.Service,
 	default:
 		return nil, fmt.Errorf("cfs: unknown engine %q (want %q or %q)",
 			cfg.Engine, EngineWorklist, EngineRescan)
-	}
-	if cfg.Shards > 0 && cfg.Engine == EngineRescan {
-		return nil, fmt.Errorf("cfs: Shards=%d requires the worklist engine, not %q (the rescan engine has no dirty sets to partition)",
-			cfg.Shards, cfg.Engine)
 	}
 	return &Pipeline{
 		cfg: cfg, db: db, ipasn: ipasn, svc: svc, det: det, prober: prober,

@@ -16,9 +16,10 @@ package cfs
 //     re-seeded, the derived state of its endpoints (plus their full
 //     alias sets) is reset to the post-ingestion baseline, and the
 //     worklist drains to quiescence. Owners are never re-resolved, so
-//     bit-for-bit equality with a fresh run holds when the fresh run's
-//     alias stream would resolve identical owners — i.e. under a
-//     single-resolve schedule (AliasRounds = {1}); see DESIGN.md.
+//     bit-for-bit equality with a fresh run holds by construction under
+//     a single-resolve schedule (AliasRounds = {1}); the differential
+//     test also covers the default multi-round schedule with follow-ups
+//     off. See DESIGN.md for the open gap after targeted runs.
 //
 //   - Re-ingestion (membership, session or cross-connect deltas). These
 //     change which adjacencies exist, so the pipeline rebuilds state
@@ -121,7 +122,7 @@ func (p *Pipeline) ApplyDelta(log []delta.Delta) (*Result, error) {
 		return nil, errors.New("cfs: ApplyDelta before Run — no converged state to repair")
 	}
 	if p.st.wl == nil {
-		return nil, fmt.Errorf("cfs: engine %q keeps no dependency index; deltas need the worklist or sharded engine", p.cfg.Engine)
+		return nil, fmt.Errorf("cfs: engine %q keeps no dependency index; deltas need the worklist engine", p.cfg.Engine)
 	}
 	reingest := false
 	for _, d := range log {

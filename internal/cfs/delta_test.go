@@ -145,48 +145,56 @@ func churnSplit(t testing.TB, w *world.World, n int, seed int64) (surgical, mixe
 	return surgical, log
 }
 
-// TestDeltaSurgicalMatchesFresh is the tentpole's locked guarantee for
+// TestDeltaSurgicalMatchesFresh is the locked guarantee for
 // facility-list deltas: two ApplyDelta batches repaired in place must
 // land on the bit-for-bit fixed point of a fresh run over the doubly
-// mutated registry — across worlds, seeds, worker counts and shard
-// counts.
+// mutated registry — across worlds, seeds and alias schedules.
 //
-// AliasRounds is pinned to a single resolve before iteration 1: with
-// one resolve, interface owners are fixed for the entire run, which is
-// the regime where in-place repair is provably exact (see DESIGN.md,
-// "Delta ingestion and snapshots"). Re-ingestion epochs have no such
-// restriction and are covered below with the default multi-round
-// schedule.
+// The schedule axis covers a single resolve before iteration 1, where
+// interface owners are fixed for the entire run, and the shipped
+// multi-round DefaultConfig().AliasRounds, which the daemon runs (see
+// DESIGN.md, "Delta ingestion and snapshots"). Follow-ups stay off: a
+// surgical epoch never re-measures.
 func TestDeltaSurgicalMatchesFresh(t *testing.T) {
-	grid := []struct{ workers, shards int }{{1, 0}, {8, 0}, {1, 4}, {8, 4}}
-	for _, seed := range []int64{23, 101, 7777} {
-		for _, g := range grid {
-			seed, g := seed, g
-			t.Run(fmt.Sprintf("small/seed=%d/w=%d/s=%d", seed, g.workers, g.shards), func(t *testing.T) {
-				t.Parallel()
-				runSurgicalDifferential(t, world.Small(), seed, g.workers, g.shards, 120)
-			})
-		}
+	schedules := []struct {
+		name   string
+		rounds []int
+	}{
+		{"single", []int{1}},
+		{"default", DefaultConfig().AliasRounds},
 	}
-	t.Run("medium/seed=42/w=8/s=4", func(t *testing.T) {
+	// The w=1/s=0 level names the serial engine: one worker, no shards.
+	for _, seed := range []int64{23, 101, 7777} {
+		t.Run(fmt.Sprintf("small/seed=%d/w=1/s=0", seed), func(t *testing.T) {
+			for _, sc := range schedules {
+				t.Run("alias="+sc.name, func(t *testing.T) {
+					t.Parallel()
+					runSurgicalDifferential(t, world.Small(), seed, sc.rounds, 120)
+				})
+			}
+		})
+	}
+	t.Run("medium/seed=42/w=1/s=0", func(t *testing.T) {
 		if testing.Short() {
 			t.Skip("medium-world differential run is slow")
 		}
-		t.Parallel()
-		runSurgicalDifferential(t, world.Medium(), 42, 8, 4, 200)
+		for _, sc := range schedules {
+			t.Run("alias="+sc.name, func(t *testing.T) {
+				t.Parallel()
+				runSurgicalDifferential(t, world.Medium(), 42, sc.rounds, 200)
+			})
+		}
 	})
 }
 
-func runSurgicalDifferential(t *testing.T, wcfg world.Config, seed int64, workers, shards, churnN int) {
+func runSurgicalDifferential(t *testing.T, wcfg world.Config, seed int64, aliasRounds []int, churnN int) {
 	t.Helper()
 	env := buildDeltaEnv(t, wcfg, seed)
 	cfg := DefaultConfig()
 	cfg.MaxIterations = 10
-	cfg.Workers = workers
-	cfg.Shards = shards
 	cfg.UseTargeted = false
 	cfg.TraceProvenance = true
-	cfg.AliasRounds = []int{1}
+	cfg.AliasRounds = aliasRounds
 
 	p := mustNew(t, cfg, env.db, env.ipasn, env.svc, env.det, env.prober)
 	res0 := p.RunObservations(copyObs(env.corpus))
@@ -231,35 +239,30 @@ func runSurgicalDifferential(t *testing.T, wcfg world.Config, seed int64, worker
 // TestDeltaReingestMatchesFresh covers the other strategy: a batch
 // containing membership, session or cross-connect deltas triggers a
 // corpus re-ingestion, which must equal a fresh run over the mutated
-// registry and the delta-adjusted corpus — including under the default
-// multi-round alias schedule, which the surgical path cannot support.
+// registry and the delta-adjusted corpus, under a multi-round alias
+// schedule.
 func TestDeltaReingestMatchesFresh(t *testing.T) {
-	grid := []struct{ workers, shards int }{{1, 0}, {8, 4}}
+	// The w=1/s=0 suffix names the serial engine: one worker, no shards.
 	for _, seed := range []int64{23, 101, 7777} {
-		for _, g := range grid {
-			seed, g := seed, g
-			t.Run(fmt.Sprintf("small/seed=%d/w=%d/s=%d", seed, g.workers, g.shards), func(t *testing.T) {
-				t.Parallel()
-				runReingestDifferential(t, world.Small(), seed, g.workers, g.shards)
-			})
-		}
+		t.Run(fmt.Sprintf("small/seed=%d/w=1/s=0", seed), func(t *testing.T) {
+			t.Parallel()
+			runReingestDifferential(t, world.Small(), seed)
+		})
 	}
-	t.Run("medium/seed=42/w=8/s=4", func(t *testing.T) {
+	t.Run("medium/seed=42/w=1/s=0", func(t *testing.T) {
 		if testing.Short() {
 			t.Skip("medium-world differential run is slow")
 		}
 		t.Parallel()
-		runReingestDifferential(t, world.Medium(), 42, 8, 4)
+		runReingestDifferential(t, world.Medium(), 42)
 	})
 }
 
-func runReingestDifferential(t *testing.T, wcfg world.Config, seed int64, workers, shards int) {
+func runReingestDifferential(t *testing.T, wcfg world.Config, seed int64) {
 	t.Helper()
 	env := buildDeltaEnv(t, wcfg, seed)
 	cfg := DefaultConfig()
 	cfg.MaxIterations = 10
-	cfg.Workers = workers
-	cfg.Shards = shards
 	cfg.UseTargeted = false
 	cfg.TraceProvenance = true
 	cfg.AliasRounds = []int{1, 5}
@@ -305,7 +308,6 @@ func TestDeltaAfterTargetedRun(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.MaxIterations = 10
 	cfg.FollowUpBudget = 200
-	cfg.Workers = 4
 	cfg.UseTargeted = true
 	cfg.TraceProvenance = true
 	cfg.AliasRounds = []int{1, 5}

@@ -1,10 +1,7 @@
 package cfs
 
 import (
-	"fmt"
 	"reflect"
-	"runtime"
-	"sync"
 	"testing"
 
 	"facilitymap/internal/alias"
@@ -133,125 +130,11 @@ func requireResultsMatch(t *testing.T, label string, a, b *Result, crossEngine b
 // defaultWorldConfig is a trimmed all-features-on configuration that
 // keeps a default-world run affordable in a test (a full DefaultConfig
 // run takes ~10s; the differential test needs several runs). Every
-// subsystem the parallel mode touches stays enabled.
-func defaultWorldConfig(workers int) Config {
+// subsystem stays enabled.
+func defaultWorldConfig() Config {
 	cfg := DefaultConfig()
 	cfg.MaxIterations = 10
 	cfg.FollowUpBudget = 200
 	cfg.AliasRounds = []int{1, 5}
-	cfg.Workers = workers
 	return cfg
-}
-
-// TestParallelMatchesSerial is the serial-equivalence harness: the same
-// (world, seed) run with Workers=1 (the exact serial code path, no
-// goroutines) and Workers=8 must produce bit-for-bit identical results.
-func TestParallelMatchesSerial(t *testing.T) {
-	for _, seed := range []int64{23, 101, 7777} {
-		seed := seed
-		t.Run(fmt.Sprintf("small/seed=%d", seed), func(t *testing.T) {
-			t.Parallel()
-			serial := DefaultConfig()
-			serial.Workers = 1
-			par := DefaultConfig()
-			par.Workers = 8
-			a := freshRun(t, world.Small(), seed, serial)
-			b := freshRun(t, world.Small(), seed, par)
-			requireEqualResults(t, "small world", a, b)
-		})
-	}
-	t.Run("default", func(t *testing.T) {
-		if testing.Short() {
-			t.Skip("default-world differential run is slow")
-		}
-		t.Parallel()
-		a := freshRun(t, world.Default(), 23, defaultWorldConfig(1))
-		b := freshRun(t, world.Default(), 23, defaultWorldConfig(8))
-		requireEqualResults(t, "default world", a, b)
-	})
-}
-
-// TestParallelProvenanceMatchesSerial covers the provenance trace,
-// which records constraint applications in order and so is the most
-// ordering-sensitive output the pipeline produces.
-func TestParallelProvenanceMatchesSerial(t *testing.T) {
-	serial := DefaultConfig()
-	serial.Workers = 1
-	serial.TraceProvenance = true
-	par := serial
-	par.Workers = 8
-	a := freshRun(t, world.Small(), 23, serial)
-	b := freshRun(t, world.Small(), 23, par)
-	requireEqualResults(t, "provenance", a, b)
-}
-
-// TestParallelDeterministic runs the parallel mode twice per
-// GOMAXPROCS setting (1, 2, 8) with one seed and demands every run be
-// identical — scheduling must never leak into results.
-func TestParallelDeterministic(t *testing.T) {
-	prev := runtime.GOMAXPROCS(0)
-	defer runtime.GOMAXPROCS(prev)
-	cfg := DefaultConfig()
-	cfg.Workers = 8
-	var ref *Result
-	for _, procs := range []int{1, 2, 8} {
-		runtime.GOMAXPROCS(procs)
-		for run := 0; run < 2; run++ {
-			res := freshRun(t, world.Small(), 23, cfg)
-			if ref == nil {
-				ref = res
-				continue
-			}
-			requireEqualResults(t, fmt.Sprintf("GOMAXPROCS=%d run=%d", procs, run), ref, res)
-		}
-	}
-}
-
-// TestMergeWorkersMatchesSerial checks the parallel incremental-merge
-// path against the serial one over results from different seeds.
-func TestMergeWorkersMatchesSerial(t *testing.T) {
-	cfg := DefaultConfig()
-	a := freshRun(t, world.Small(), 23, cfg)
-	b := freshRun(t, world.Small(), 101, cfg)
-	c := freshRun(t, world.Small(), 7777, cfg)
-	serial := MergeWorkers(1, a, b, c)
-	parallel := MergeWorkers(8, a, b, c)
-	requireEqualResults(t, "merge", serial, parallel)
-}
-
-func TestWorkerCount(t *testing.T) {
-	if got := (Config{Workers: 0}).workerCount(); got != runtime.GOMAXPROCS(0) {
-		t.Errorf("Workers=0: got %d, want GOMAXPROCS=%d", got, runtime.GOMAXPROCS(0))
-	}
-	if got := (Config{Workers: -3}).workerCount(); got != runtime.GOMAXPROCS(0) {
-		t.Errorf("Workers=-3: got %d, want GOMAXPROCS=%d", got, runtime.GOMAXPROCS(0))
-	}
-	for _, n := range []int{1, 2, 7} {
-		if got := (Config{Workers: n}).workerCount(); got != n {
-			t.Errorf("Workers=%d: got %d", n, got)
-		}
-	}
-}
-
-// TestParallelRanges checks the sharding helper: every index covered
-// exactly once, shard indices dense, and degenerate inputs handled.
-func TestParallelRanges(t *testing.T) {
-	for _, tc := range []struct{ n, workers int }{
-		{0, 4}, {1, 4}, {4, 4}, {5, 4}, {100, 7}, {3, 1}, {10, 100},
-	} {
-		covered := make([]int, tc.n)
-		var mu sync.Mutex
-		parallelRanges(tc.n, tc.workers, func(shard, lo, hi int) {
-			mu.Lock()
-			defer mu.Unlock()
-			for i := lo; i < hi; i++ {
-				covered[i]++
-			}
-		})
-		for i, c := range covered {
-			if c != 1 {
-				t.Errorf("n=%d workers=%d: index %d covered %d times", tc.n, tc.workers, i, c)
-			}
-		}
-	}
 }

@@ -26,30 +26,19 @@ import (
 // an empty intersection — keep the earliest run's answer and increment
 // MergeConflicts. Links are unioned. The merged Epoch is the maximum of
 // the inputs' epochs (the merge describes the newest state involved).
-//
-// Merge uses one worker per available CPU; MergeWorkers takes an
-// explicit count. The per-interface fold is independent across
-// addresses and conflict counts are summed, so every worker count
-// produces the identical result.
 func Merge(results ...*Result) *Result {
-	return MergeWorkers(0, results...)
+	return MergeObserved(nil, results...)
 }
 
-// MergeWorkers is Merge with an explicit worker bound: 0 means one
-// worker per available CPU, 1 runs fully serially.
-func MergeWorkers(workers int, results ...*Result) *Result {
-	return MergeObserved(nil, workers, results...)
-}
-
-// MergeObserved is MergeWorkers with observability: when o is non-nil
-// it books cfs.merge.* counters and emits one "merge" event describing
+// MergeObserved is Merge with observability: when o is non-nil it
+// books cfs.merge.* counters and emits one "merge" event describing
 // the fold. Observation is strictly one-way — the merged Result is
 // bit-for-bit identical whether or not o is supplied.
-func MergeObserved(o *obs.Obs, workers int, results ...*Result) *Result {
+func MergeObserved(o *obs.Obs, results ...*Result) *Result {
 	out := &Result{Interfaces: make(map[netaddr.IP]*InterfaceResult)}
 	seenLinks := make(map[adjKey]bool)
-	// Serial pass: global counters, link union (order-preserving), and
-	// the per-address fold lists in run order.
+	// Global counters, link union (order-preserving), and the
+	// per-address fold lists in run order.
 	perIP := make(map[netaddr.IP][]*InterfaceResult)
 	for _, res := range results {
 		if res == nil {
@@ -81,7 +70,7 @@ func MergeObserved(o *obs.Obs, workers int, results ...*Result) *Result {
 			perIP[ip] = append(perIP[ip], ir)
 		}
 	}
-	// Parallel pass: fold each address's run sequence independently.
+	// Fold each address's run sequence.
 	ips := make([]netaddr.IP, 0, len(perIP))
 	for ip := range perIP {
 		ips = append(ips, ip)
@@ -89,33 +78,16 @@ func MergeObserved(o *obs.Obs, workers int, results ...*Result) *Result {
 	// Sorted fold order: the merged Interfaces slice (and the order
 	// conflicts surface in) must not depend on map iteration.
 	sort.Slice(ips, func(i, j int) bool { return ips[i] < ips[j] })
-	w := Config{Workers: workers}.workerCount()
-	if w > len(ips) {
-		w = len(ips)
-	}
-	if w < 1 {
-		w = 1
-	}
-	conflicts := make([]int, w)
-	merged := make([]*InterfaceResult, len(ips))
-	parallelRanges(len(ips), w, func(shard, lo, hi int) {
-		for i := lo; i < hi; i++ {
-			runs := perIP[ips[i]]
-			cur := *runs[0]
-			cur.Candidates = append([]world.FacilityID(nil), runs[0].Candidates...)
-			for _, next := range runs[1:] {
-				if mergeInterface(&cur, next) {
-					conflicts[shard]++
-				}
+	for _, ip := range ips {
+		runs := perIP[ip]
+		cur := *runs[0]
+		cur.Candidates = append([]world.FacilityID(nil), runs[0].Candidates...)
+		for _, next := range runs[1:] {
+			if mergeInterface(&cur, next) {
+				out.MergeConflicts++
 			}
-			merged[i] = &cur
 		}
-	})
-	for i, ip := range ips {
-		out.Interfaces[ip] = merged[i]
-	}
-	for _, n := range conflicts {
-		out.MergeConflicts += n
+		out.Interfaces[ip] = &cur
 	}
 
 	o.Counter("cfs.merge.runs").Add(int64(len(results)))

@@ -28,8 +28,8 @@ func fakeClock() func() time.Time {
 // holds with observability enabled.
 func TestObsEnabledRunsBitForBitIdentical(t *testing.T) {
 	for _, engine := range []string{EngineWorklist, EngineRescan} {
-		plain := engineConfig(engine, 4)
-		observed := engineConfig(engine, 4)
+		plain := engineConfig(engine)
+		observed := engineConfig(engine)
 		observed.Obs = obs.New(1 << 12)
 		a := freshRun(t, world.Small(), 23, plain)
 		b := freshRun(t, world.Small(), 23, observed)
@@ -84,10 +84,10 @@ func TestObsCountersMatchEngineProbes(t *testing.T) {
 // TestMergeObservedMatchesMerge: the observed fold returns the same
 // Result and books the fold's shape.
 func TestMergeObservedMatchesMerge(t *testing.T) {
-	_, r1 := runSmall(t, engineConfig(EngineWorklist, 1))
+	_, r1 := runSmall(t, engineConfig(EngineWorklist))
 	o := obs.New(16)
 	plain := Merge(r1, r1)
-	observed := MergeObserved(o, 0, r1, r1)
+	observed := MergeObserved(o, r1, r1)
 	if len(plain.Interfaces) != len(observed.Interfaces) ||
 		plain.MergeConflicts != observed.MergeConflicts ||
 		len(plain.Links) != len(observed.Links) {
@@ -109,7 +109,7 @@ func TestMergeObservedMatchesMerge(t *testing.T) {
 // between them.
 func TestWallTimeExcludesSnapshotOverhead(t *testing.T) {
 	s := buildStack(t, world.Small())
-	cfg := engineConfig(EngineWorklist, 1)
+	cfg := engineConfig(EngineWorklist)
 	cfg.MaxIterations = 1
 	p := mustNew(t, cfg, s.db, s.ipasn, s.svc, s.det, s.prober)
 	p.now = fakeClock()

@@ -1,7 +1,9 @@
 package cfs
 
 import (
+	"fmt"
 	"math/rand"
+	"runtime"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -244,6 +246,27 @@ func TestRunDeterministic(t *testing.T) {
 		b := r2.Interfaces[ip]
 		if b == nil || a.Resolved != b.Resolved || a.Facility != b.Facility {
 			t.Fatalf("interface %v diverged: %+v vs %+v", ip, a, b)
+		}
+	}
+}
+
+// TestDeterministic runs DefaultConfig twice per GOMAXPROCS setting
+// (1, 2, 8) with one seed and demands every run be identical —
+// scheduling must never leak into results.
+func TestDeterministic(t *testing.T) {
+	prev := runtime.GOMAXPROCS(0)
+	defer runtime.GOMAXPROCS(prev)
+	cfg := DefaultConfig()
+	var ref *Result
+	for _, procs := range []int{1, 2, 8} {
+		runtime.GOMAXPROCS(procs)
+		for run := 0; run < 2; run++ {
+			res := freshRun(t, world.Small(), 23, cfg)
+			if ref == nil {
+				ref = res
+				continue
+			}
+			requireEqualResults(t, fmt.Sprintf("GOMAXPROCS=%d run=%d", procs, run), ref, res)
 		}
 	}
 }

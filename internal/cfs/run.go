@@ -47,18 +47,13 @@ func (e *rescanEngine) constraintPass() (dirty, recomputed int) {
 
 func (e *rescanEngine) aliasPass() (recomputed int) { return e.st.aliasStep() }
 
-// newEngine selects the iteration core for cfg. Unknown names and the
-// Shards+rescan combination are rejected by New before a Pipeline
-// exists, so by the time this runs cfg.Engine is "", EngineWorklist, or
-// EngineRescan; the empty string resolves to the worklist default, and
-// Shards > 0 layers the metro-sharded converge/exchange scheduler on
-// top of the worklist core.
+// newEngine selects the iteration core for cfg. Unknown names are
+// rejected by New before a Pipeline exists, so by the time this runs
+// cfg.Engine is "", EngineWorklist, or EngineRescan; the empty string
+// resolves to the worklist default.
 func newEngine(cfg Config, st *state) engine {
 	if cfg.Engine == EngineRescan {
 		return &rescanEngine{st: st}
-	}
-	if cfg.Shards > 0 {
-		return newSharded(st, cfg.Shards)
 	}
 	return newWorklist(st)
 }
@@ -288,48 +283,36 @@ func (st *state) singleCluster(c facset) bool {
 	return ok && first != -1
 }
 
-// targetPlan is the precomputed follow-up selection for one unresolved
-// interface: the outcome of the pure target-picking scan, decoupled
-// from probe issuing so the scan can fan out across workers.
-type targetPlan struct {
-	ok      bool
-	targets []world.ASN
-}
-
-// planTargets runs the pure half of Step 4 for one interface: resolve
-// its owner, look up the owner's footprint, and score candidate target
-// ASes. It reads only round-start state (candidate sets, queried IXPs
-// and used-target records are not mutated while planning), so plans
-// computed concurrently match the lazy serial computation exactly.
-func (st *state) planTargets(ip netaddr.IP, owner ownerFn) targetPlan {
-	ownerAS, ok := owner(ip)
+// planTargets runs the target-picking half of Step 4 for one
+// interface: resolve its owner, look up the owner's footprint, and
+// score candidate target ASes. ok is false when the owner or its
+// facility data is unknown, so no follow-up can constrain the
+// interface.
+func (st *state) planTargets(ip netaddr.IP) (targets []world.ASN, ok bool) {
+	ownerAS, ok := st.ownerOf(ip)
 	if !ok {
-		return targetPlan{}
+		return nil, false
 	}
 	fa := st.p.db.FacilitiesOfAS(ownerAS)
 	if len(fa) == 0 {
-		return targetPlan{} // missing facility data: no constraint can help
+		return nil, false // missing facility data: no constraint can help
 	}
 	cand := st.cand[ip]
 	if cand == nil {
 		cand = st.p.fs.ofAS(st.p.db, ownerAS)
 	}
-	return targetPlan{ok: true, targets: st.pickTargets(ip, ownerAS, fa, cand)}
+	return st.pickTargets(ip, ownerAS, fa, cand), true
 }
 
 // targetedRound implements Step 4: for unresolved interfaces, pick
 // target ASes whose facility sets can shrink the candidates, and
 // traceroute toward them from vantage points that saw the interface.
 //
-// Target selection — the expensive scan over every origin AS — is a
-// pure function of round-start state, so with multiple workers it
-// precomputes for the whole unresolved pool in parallel. The probes
-// themselves always issue from this goroutine in pool order: the
-// simulated engine derives measurement randomness from its global
-// probe counter, and follow-up paths feed back into the pool that
-// later target-address picks consult, so issue order is semantics.
-// Workers=1 keeps the lazy serial scan and does no extra work beyond
-// the follow-up budget.
+// Interfaces are planned lazily in pool order and planning stops with
+// the follow-up budget. Probe order is semantics: the simulated engine
+// derives measurement randomness from its global probe counter, and
+// follow-up paths feed back into the pool that later target-address
+// picks consult.
 func (st *state) targetedRound(iter int) (followUps, newAdjs int) {
 	cfg := st.p.cfg
 	budget := cfg.FollowUpBudget
@@ -337,31 +320,15 @@ func (st *state) targetedRound(iter int) (followUps, newAdjs int) {
 	for _, k := range cfg.Platforms {
 		allowed[k] = true
 	}
-	unresolved := st.unresolved()
-	var plans []targetPlan
-	if w := cfg.workerCount(); w > 1 && len(unresolved) >= minParallelPlans {
-		plans = make([]targetPlan, len(unresolved))
-		parallelRanges(len(unresolved), w, func(_, lo, hi int) {
-			owner := st.readOnlyOwner()
-			for i := lo; i < hi; i++ {
-				plans[i] = st.planTargets(unresolved[i], owner.ownerOf)
-			}
-		})
-	}
-	for i, ip := range unresolved {
+	for _, ip := range st.unresolved() {
 		if budget <= 0 {
 			break
 		}
-		var plan targetPlan
-		if plans != nil {
-			plan = plans[i]
-		} else {
-			plan = st.planTargets(ip, st.ownerOf)
-		}
-		if !plan.ok {
+		targets, ok := st.planTargets(ip)
+		if !ok {
 			continue
 		}
-		for _, tgt := range plan.targets {
+		for _, tgt := range targets {
 			if budget <= 0 {
 				break
 			}

@@ -66,7 +66,7 @@ type state struct {
 	wl *worklist
 
 	// allASNs caches the (static, sorted) origin-AS list the target
-	// scan walks, so concurrent planners don't re-sort it per call.
+	// scan walks, so the planner doesn't re-sort it per call.
 	allASNs []world.ASN
 
 	// prov records constraint provenance per IP when tracing is on.
@@ -170,24 +170,20 @@ func (st *state) observe(ip netaddr.IP, vp *platform.VantagePoint) {
 	st.observedBy[ip] = append(st.observedBy[ip], vp)
 }
 
-// adjEvent is one classified hop pair: the pure outcome of Step 1 for
-// a single adjacency, before any state mutation. `other` is the far
-// IXP port for public events and the far /30 side for private ones.
-type adjEvent struct {
-	near, other netaddr.IP
-	public      bool
-	ix          world.IXPID
-	portAS      world.ASN // far port's owner, for the portOf index
-	hasPortAS   bool
+// ingestPaths runs Step 1 over a traceroute corpus in corpus order.
+func (st *state) ingestPaths(paths []trace.Path) {
+	for _, path := range paths {
+		st.processPath(path)
+	}
 }
 
-// classifyPath is the side-effect-free half of Step 1 (§4.2): it turns
-// one traceroute into adjacency events using only pure lookups (IXP
-// prefix trie, ownership resolution), appending to events. Workers run
-// it concurrently with a read-only ownerFn; the serial path passes
-// state.ownerOf.
-func (st *state) classifyPath(path trace.Path, owner ownerFn, events []adjEvent) []adjEvent {
+// processPath classifies one traceroute into adjacencies (Step 1,
+// §4.2) and folds them into the state in hop order, returning how many
+// adjacencies were new.
+func (st *state) processPath(path trace.Path) int {
+	vp := st.vpsByRouter[path.SrcRouter]
 	hops := path.ResponsiveHops()
+	added := 0
 	for i := 0; i+1 < len(hops); i++ {
 		h1, h2 := hops[i], hops[i+1]
 		if ix, ok := st.p.db.IXPByIP(h2); ok {
@@ -197,62 +193,49 @@ func (st *state) classifyPath(path trace.Path, owner ownerFn, events []adjEvent)
 			if _, isIXP := st.p.db.IXPByIP(h1); isIXP {
 				continue // consecutive IXP hops: ambiguous, discard
 			}
-			if _, ok := owner(h1); !ok {
+			if _, ok := st.ownerOf(h1); !ok {
 				continue // unresolved interface: discard (§4.2 step 1)
 			}
-			ev := adjEvent{near: h1, other: h2, public: true, ix: ix}
-			if b, ok := owner(h2); ok {
-				ev.portAS, ev.hasPortAS = b, true
+			added += st.addAdjacency(Adjacency{Near: h1, Public: true, IXP: ix, FarPort: h2}, vp)
+			if b, ok := st.ownerOf(h2); ok {
+				st.portOf[portKey{b, ix}] = h2
 			}
-			events = append(events, ev)
 			continue
 		}
 		// Private peering (IP_A, IP_B): both sides resolve to different
 		// ASes. Shared-/30 misattribution makes some of these look
 		// intra-AS until alias repair fixes the owners; adjacencies are
 		// re-derived from stored IPs each round, so repairs take effect.
-		a1, ok1 := owner(h1)
-		a2, ok2 := owner(h2)
+		a1, ok1 := st.ownerOf(h1)
+		a2, ok2 := st.ownerOf(h2)
 		if !ok1 || !ok2 || a1 == a2 {
 			continue
 		}
-		events = append(events, adjEvent{near: h1, other: h2})
-	}
-	return events
-}
-
-// applyPathEvents is the mutating half of Step 1: it folds classified
-// events into the adjacency state in hop order. Coordinator-only.
-func (st *state) applyPathEvents(path trace.Path, events []adjEvent) int {
-	vp := st.vpsByRouter[path.SrcRouter]
-	added := 0
-	for _, ev := range events {
-		key := adjKey{ev.near, ev.other}
-		if _, dup := st.adjs[key]; !dup {
-			a := &Adjacency{Near: ev.near}
-			if ev.public {
-				a.Public, a.IXP, a.FarPort = true, ev.ix, ev.other
-			} else {
-				a.Far = ev.other
-			}
-			st.adjs[key] = a
-			st.adjOrder = append(st.adjOrder, a)
-			added++
-		}
-		st.addToPool(ev.near)
-		st.addToPool(ev.other)
-		st.observe(ev.near, vp)
-		st.observe(ev.other, vp)
-		if ev.hasPortAS {
-			st.portOf[portKey{ev.portAS, ev.ix}] = ev.other
-		}
+		added += st.addAdjacency(Adjacency{Near: h1, Far: h2}, vp)
 	}
 	return added
 }
 
-// processPath classifies one traceroute into adjacencies (Step 1, §4.2).
-func (st *state) processPath(path trace.Path) int {
-	return st.applyPathEvents(path, st.classifyPath(path, st.ownerOf, nil))
+// addAdjacency records one classified hop pair: the adjacency unless
+// already known, both of its addresses into the pool, and vp as an
+// observer of both. It returns 1 for a new adjacency, else 0.
+func (st *state) addAdjacency(a Adjacency, vp *platform.VantagePoint) int {
+	other := a.Far
+	if a.Public {
+		other = a.FarPort
+	}
+	added := 0
+	key := adjKey{a.Near, other}
+	if _, dup := st.adjs[key]; !dup {
+		st.adjs[key] = &a
+		st.adjOrder = append(st.adjOrder, &a)
+		added = 1
+	}
+	st.addToPool(a.Near)
+	st.addToPool(other)
+	st.observe(a.Near, vp)
+	st.observe(other, vp)
+	return added
 }
 
 // constrainOutcome reports what a constrain call did.
@@ -368,8 +351,7 @@ func (st *state) checkRemote(asn world.ASN, ix world.IXPID) int {
 // facility-set intersection the constraint step needs, computed from
 // registry and ownership lookups alone. It carries no verdicts that
 // require measurements — the empty-intersection remote-peering check
-// happens in the apply half, on the coordinator, so the detector's
-// fabric pings keep their serial issue order.
+// happens in the apply half.
 type adjProposal struct {
 	nearAS, farAS world.ASN
 	nearOK, farOK bool
@@ -388,26 +370,26 @@ type adjProposal struct {
 }
 
 // computeProposal evaluates the side-effect-free constraint sets for
-// one adjacency. Safe for concurrent use with a read-only ownerFn.
-func (st *state) computeProposal(a *Adjacency, owner ownerFn) adjProposal {
+// one adjacency.
+func (st *state) computeProposal(a *Adjacency) adjProposal {
 	db, fs := st.p.db, st.p.fs
 	var pr adjProposal
 	if a.Public {
 		fixp := fs.ofIXP(db, a.IXP)
-		if nearAS, ok := owner(a.Near); ok {
+		if nearAS, ok := st.ownerOf(a.Near); ok {
 			pr.nearAS, pr.nearOK = nearAS, true
 			pr.nearFoot = fs.ofAS(db, nearAS)
 			pr.nearSet = intersect(pr.nearFoot, fixp)
 		}
-		if farAS, ok := owner(a.FarPort); ok {
+		if farAS, ok := st.ownerOf(a.FarPort); ok {
 			pr.farAS, pr.farOK = farAS, true
 			pr.farFoot = fs.ofAS(db, farAS)
 			pr.farSet = intersect(pr.farFoot, fixp)
 		}
 		return pr
 	}
-	nearAS, ok1 := owner(a.Near)
-	farAS, ok2 := owner(a.Far)
+	nearAS, ok1 := st.ownerOf(a.Near)
+	farAS, ok2 := st.ownerOf(a.Far)
 	if !ok1 || !ok2 || nearAS == farAS {
 		return pr // apply half leaves the adjacency untouched
 	}
@@ -419,30 +401,12 @@ func (st *state) computeProposal(a *Adjacency, owner ownerFn) adjProposal {
 	return pr
 }
 
-// applyConstraints runs Step 2 over every adjacency. Constraints are
-// monotone, so reprocessing is safe and picks up owner repairs and new
-// remote-detection verdicts. With multiple workers the proposal
-// computation shards over the adjacency list; the apply half always
-// walks adjOrder on the coordinator so candidate-set mutations,
-// conflict counts and remote-detection measurements happen in exactly
-// the serial order.
+// applyConstraints runs Step 2 over every adjacency in adjOrder.
+// Constraints are monotone, so reprocessing is safe and picks up owner
+// repairs and new remote-detection verdicts.
 func (st *state) applyConstraints() {
-	adjs := st.adjOrder
-	if w := st.p.cfg.workerCount(); w > 1 && len(adjs) >= minParallelAdjs {
-		proposals := make([]adjProposal, len(adjs))
-		parallelRanges(len(adjs), w, func(_, lo, hi int) {
-			owner := st.readOnlyOwner()
-			for i := lo; i < hi; i++ {
-				proposals[i] = st.computeProposal(adjs[i], owner.ownerOf)
-			}
-		})
-		for i, a := range adjs {
-			st.applyProposal(i, a, proposals[i])
-		}
-		return
-	}
-	for i, a := range adjs {
-		st.applyProposal(i, a, st.computeProposal(a, st.ownerOf))
+	for i, a := range st.adjOrder {
+		st.applyProposal(i, a, st.computeProposal(a))
 	}
 }
 
@@ -551,7 +515,7 @@ func sharedIXPs(a, b []world.IXPID) []world.IXPID {
 
 // setIntersection computes the candidate intersection over one alias
 // set: nil when no member carries a constraint yet, empty (non-nil)
-// when members disagree outright. Pure — reads candidate sets only.
+// when members disagree outright.
 func (st *state) setIntersection(set []netaddr.IP) facset {
 	var inter facset
 	for _, ip := range set {
@@ -587,40 +551,14 @@ func (st *state) aliasStep() (recomputed int) {
 }
 
 // aliasStepSets runs Step 3 over the multi-member alias sets named by
-// ascending indices into Sets.All. Alias sets partition the pool, so
-// the per-set intersections are independent: with multiple workers they
-// precompute sharded over the index list, and the constrain half
-// applies them on the coordinator in set order — identical to the
-// serial interleaving because no set's constraint can touch another
-// set's members. Returns the number of intersections recomputed.
+// ascending indices into Sets.All. Alias sets partition the pool, so no
+// set's constraint can touch another set's members. Returns the number
+// of intersections recomputed.
 func (st *state) aliasStepSets(idxs []int) (recomputed int) {
 	sets := st.sets.All()
-	inters := make([]facset, len(idxs))
-	if w := st.p.cfg.workerCount(); w > 1 && len(idxs) >= minParallelSets {
-		parallelRanges(len(idxs), w, func(_, lo, hi int) {
-			for i := lo; i < hi; i++ {
-				inters[i] = st.setIntersection(sets[idxs[i]])
-			}
-		})
-	} else {
-		for i, idx := range idxs {
-			inters[i] = st.setIntersection(sets[idx])
-		}
-	}
-	return st.aliasApplySets(idxs, inters)
-}
-
-// aliasApplySets is the mutating half of Step 3: it applies precomputed
-// per-set intersections (position-matched to idxs) on the coordinator
-// in ascending set order. Split from the compute half so the sharded
-// engine can fan the intersections out by shard while keeping this
-// apply order — which is identical to the fully serial interleaving,
-// because no set's constraint can touch another set's members.
-func (st *state) aliasApplySets(idxs []int, inters []facset) (recomputed int) {
-	sets := st.sets.All()
-	for i, idx := range idxs {
+	for _, idx := range idxs {
 		set := sets[idx]
-		inter := inters[i]
+		inter := st.setIntersection(set)
 		if inter.count() == 0 {
 			if inter != nil {
 				st.noteSetConflict(set[0])

@@ -128,7 +128,6 @@ func TestSessionZeroLocalIP(t *testing.T) {
 	runEngine := func(engine string) *Result {
 		cfg := DefaultConfig()
 		cfg.Engine = engine
-		cfg.Workers = 1
 		cfg.MaxIterations = 3
 		cfg.UseTargeted = false
 		cfg.UseAliasResolution = false

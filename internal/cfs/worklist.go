@@ -10,10 +10,8 @@ package cfs
 //   AS / IXP         → adjacencies constrained by its facility list
 //
 // — and dirty sets seeded by path ingestion. Each iteration pops only
-// the dirty adjacencies, recomputes their proposals (sharded over the
-// Config.Workers pool exactly like the rescan engine's full pass), and
-// re-enqueues dependents when constrain() actually narrows a candidate
-// set.
+// the dirty adjacencies, recomputes their proposals, and re-enqueues
+// dependents when constrain() actually narrows a candidate set.
 //
 // Equivalence with rescan is an invariant, not an aspiration (see the
 // differential test). It rests on three properties of the shared state
@@ -34,7 +32,7 @@ package cfs
 //
 // Dirty work is always applied in ascending index order — the same
 // relative order the rescan engine uses — so candidate-set mutations,
-// provenance, conflict discovery and the serially-issued measurements
+// provenance, conflict discovery and the measurements they issue
 // interleave identically.
 
 import (
@@ -75,14 +73,6 @@ type worklist struct {
 	// own intersection is being applied to its members, their narrowing
 	// must not re-dirty the set (it is at its fixed point afterwards).
 	applyingSet int
-
-	// Exchange-accounting hooks, set by the sharded engine. Purely
-	// observational — they fire on dirty-state transitions and must
-	// never influence which work gets enqueued. onDirtySet fires when a
-	// clean alias set becomes dirty; onOwnerRedirty fires when an owner
-	// repair re-dirties an interface's dependent adjacencies.
-	onDirtySet     func(setIdx int)
-	onOwnerRedirty func(ip netaddr.IP, idxs []int)
 }
 
 func newWorklist(st *state) *worklist {
@@ -105,12 +95,7 @@ func newWorklist(st *state) *worklist {
 // narrows: the alias set containing ip must re-intersect.
 func (w *worklist) candChanged(ip netaddr.IP) {
 	if idx, ok := w.setOf[ip]; ok && idx != w.applyingSet {
-		if !w.dirtySets[idx] {
-			w.dirtySets[idx] = true
-			if w.onDirtySet != nil {
-				w.onDirtySet(idx)
-			}
-		}
+		w.dirtySets[idx] = true
 	}
 }
 
@@ -160,9 +145,6 @@ func (w *worklist) resolveAliases() {
 		for _, idx := range idxs {
 			w.dirtyAdj[idx] = true
 		}
-		if w.onOwnerRedirty != nil {
-			w.onOwnerRedirty(ip, idxs)
-		}
 		if asn != 0 {
 			w.asAdjs[asn] = append(w.asAdjs[asn], idxs...)
 		}
@@ -190,9 +172,7 @@ func (w *worklist) rebuildSets() {
 }
 
 // constraintPass pops the dirty adjacencies and reprocesses only them,
-// in ascending index order. Proposal computation shards over the
-// worker pool exactly as the rescan engine's full pass does; the apply
-// half runs on the coordinator.
+// in ascending index order.
 func (w *worklist) constraintPass() (dirty, recomputed int) {
 	st := w.st
 	w.register()
@@ -206,22 +186,9 @@ func (w *worklist) constraintPass() (dirty, recomputed int) {
 	sort.Ints(idxs)
 	w.dirtyAdj = make(map[int]bool)
 
-	adjs := st.adjOrder
-	if wk := st.p.cfg.workerCount(); wk > 1 && len(idxs) >= minParallelAdjs {
-		proposals := make([]adjProposal, len(idxs))
-		parallelRanges(len(idxs), wk, func(_, lo, hi int) {
-			owner := st.readOnlyOwner()
-			for i := lo; i < hi; i++ {
-				proposals[i] = st.computeProposal(adjs[idxs[i]], owner.ownerOf)
-			}
-		})
-		for i, idx := range idxs {
-			st.applyProposal(idx, adjs[idx], proposals[i])
-		}
-		return len(idxs), len(idxs)
-	}
 	for _, idx := range idxs {
-		st.applyProposal(idx, adjs[idx], st.computeProposal(adjs[idx], st.ownerOf))
+		a := st.adjOrder[idx]
+		st.applyProposal(idx, a, st.computeProposal(a))
 	}
 	return len(idxs), len(idxs)
 }

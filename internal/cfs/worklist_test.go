@@ -7,10 +7,9 @@ import (
 	"facilitymap/internal/world"
 )
 
-func engineConfig(engine string, workers int) Config {
+func engineConfig(engine string) Config {
 	cfg := DefaultConfig()
 	cfg.Engine = engine
-	cfg.Workers = workers
 	return cfg
 }
 
@@ -23,42 +22,38 @@ func totalRecomputed(r *Result) int {
 }
 
 // TestWorklistMatchesRescan is the engine differential harness: the
-// same (world, seed, workers) run under the rescan engine and the
-// worklist engine must produce bit-for-bit identical results — same
-// inferences, links, convergence curve, conflict counts and provenance
-// — because dirty-set scheduling may skip work but never reorder the
-// serially-issued measurements. On the default world the worklist must
-// also do strictly less work.
+// same (world, seed) run under the rescan engine and the worklist
+// engine must produce bit-for-bit identical results — same inferences,
+// links, convergence curve, conflict counts and provenance — because
+// dirty-set scheduling may skip work but never reorder the measurements.
+// On the default world the worklist must also do strictly less work.
+// The workers=1 suffix names the one-goroutine engine CFS runs on.
 func TestWorklistMatchesRescan(t *testing.T) {
 	for _, seed := range []int64{23, 101, 7777} {
-		for _, workers := range []int{1, 8} {
-			t.Run(fmt.Sprintf("small/seed=%d/workers=%d", seed, workers), func(t *testing.T) {
-				t.Parallel()
-				a := freshRun(t, world.Small(), seed, engineConfig(EngineRescan, workers))
-				b := freshRun(t, world.Small(), seed, engineConfig(EngineWorklist, workers))
-				requireCrossEngineResults(t, "small world", a, b)
-			})
-		}
+		t.Run(fmt.Sprintf("small/seed=%d/workers=1", seed), func(t *testing.T) {
+			t.Parallel()
+			a := freshRun(t, world.Small(), seed, engineConfig(EngineRescan))
+			b := freshRun(t, world.Small(), seed, engineConfig(EngineWorklist))
+			requireCrossEngineResults(t, "small world", a, b)
+		})
 	}
 	for _, seed := range []int64{23, 101, 7777} {
-		for _, workers := range []int{1, 8} {
-			t.Run(fmt.Sprintf("default/seed=%d/workers=%d", seed, workers), func(t *testing.T) {
-				if testing.Short() {
-					t.Skip("default-world differential runs are slow")
-				}
-				t.Parallel()
-				rescan := defaultWorldConfig(workers)
-				rescan.Engine = EngineRescan
-				wl := defaultWorldConfig(workers)
-				wl.Engine = EngineWorklist
-				a := freshRun(t, world.Default(), seed, rescan)
-				b := freshRun(t, world.Default(), seed, wl)
-				requireCrossEngineResults(t, "default world", a, b)
-				if ra, rb := totalRecomputed(a), totalRecomputed(b); rb >= ra {
-					t.Errorf("worklist recomputed %d proposals, rescan %d: want strictly fewer", rb, ra)
-				}
-			})
-		}
+		t.Run(fmt.Sprintf("default/seed=%d/workers=1", seed), func(t *testing.T) {
+			if testing.Short() {
+				t.Skip("default-world differential runs are slow")
+			}
+			t.Parallel()
+			rescan := defaultWorldConfig()
+			rescan.Engine = EngineRescan
+			wl := defaultWorldConfig()
+			wl.Engine = EngineWorklist
+			a := freshRun(t, world.Default(), seed, rescan)
+			b := freshRun(t, world.Default(), seed, wl)
+			requireCrossEngineResults(t, "default world", a, b)
+			if ra, rb := totalRecomputed(a), totalRecomputed(b); rb >= ra {
+				t.Errorf("worklist recomputed %d proposals, rescan %d: want strictly fewer", rb, ra)
+			}
+		})
 	}
 }
 
@@ -67,7 +62,7 @@ func TestWorklistMatchesRescan(t *testing.T) {
 // provenance records only set-changing applications, and those happen
 // in the same order under both engines.
 func TestWorklistProvenanceMatchesRescan(t *testing.T) {
-	rescan := engineConfig(EngineRescan, 1)
+	rescan := engineConfig(EngineRescan)
 	rescan.TraceProvenance = true
 	wl := rescan
 	wl.Engine = EngineWorklist
@@ -80,8 +75,8 @@ func TestWorklistProvenanceMatchesRescan(t *testing.T) {
 // dirty set must be a strict subset of the adjacency list the rescan
 // engine rescans (new observations only), on the small world too.
 func TestWorklistDoesLessWork(t *testing.T) {
-	a := freshRun(t, world.Small(), 23, engineConfig(EngineRescan, 1))
-	b := freshRun(t, world.Small(), 23, engineConfig(EngineWorklist, 1))
+	a := freshRun(t, world.Small(), 23, engineConfig(EngineRescan))
+	b := freshRun(t, world.Small(), 23, engineConfig(EngineWorklist))
 	if len(b.History) < 2 {
 		t.Fatalf("run converged in %d iterations; need 2+ to compare engines", len(b.History))
 	}
@@ -103,7 +98,6 @@ func TestWorklistDoesLessWork(t *testing.T) {
 func TestWorklistInvalidation(t *testing.T) {
 	s := buildStack(t, world.Small())
 	cfg := DefaultConfig()
-	cfg.Workers = 1
 	p := mustNew(t, cfg, s.db, s.ipasn, s.svc, s.det, s.prober)
 	st := p.newState()
 	w := newWorklist(st)

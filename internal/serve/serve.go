@@ -61,10 +61,6 @@ type Options struct {
 	// MaxInFlight bounds concurrently executing handlers; excess
 	// requests are rejected with 503 rather than queued (default 64).
 	MaxInFlight int
-	// MaterializeWorkers is the parallel-fold width used when the
-	// writer loop materializes a freshly published snapshot's tables
-	// (0 = one worker per CPU).
-	MaterializeWorkers int
 	// Obs receives request counts, latency histograms and the
 	// published epoch gauge. Nil disables.
 	Obs *obs.Obs
@@ -644,7 +640,7 @@ func (s *Server) enqueue(ctx context.Context, log []delta.Delta) (*facilitymap.M
 func (s *Server) Run(ctx context.Context) {
 	defer close(s.done)
 	if m := s.sys.Current(); m != nil {
-		m.Materialize(s.opt.MaterializeWorkers)
+		m.Materialize(0)
 	}
 	for {
 		select {
@@ -671,7 +667,7 @@ func (s *Server) apply(req applyReq) {
 		// Swap-time materialization: build the new snapshot's tables on
 		// the writer — a parallel fold over the interface set — before
 		// acknowledging the batch, so no query ever pays the build.
-		m.Materialize(s.opt.MaterializeWorkers)
+		m.Materialize(0)
 		s.applied.Add(int64(len(req.log)))
 		s.epochGauge.Set(int64(m.Epoch()))
 	}
