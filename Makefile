@@ -31,9 +31,11 @@ test:
 
 # Run the CFS engine's tests (and the trace simulator's) under the race
 # detector. internal/serve rides along: its epoch-consistency test races
-# concurrent queries against live Apply batches.
+# concurrent queries against live Apply batches. The facade's
+# TestSnapshot* tests race readers against the publish-time table build.
 race:
 	go test -race ./internal/cfs/... ./internal/trace/... ./internal/serve/...
+	go test -race -run 'TestSnapshot' .
 
 # Engine benchmark harness: times both CFS cores (observability off and
 # on) and writes machine-readable BENCH_cfs.json — ns/op, probes

@@ -27,9 +27,9 @@
 // engine's ns_per_op exceeds the baseline by more than the fraction R.
 //
 // -serve adds the daemon scenario: the query API's request mix (snapshot
-// digests, interface lookups, AS-pair queries) against one converged,
-// materialized system behind a server with the options cfsd ships —
-// every query renders from the snapshot's swap-time tables.
+// digests, interface lookups, AS-pair queries) against one converged
+// system behind a server with the options cfsd ships — every query
+// renders from the tables built when the snapshot was published.
 // serve_ns_per_query is the time per query and serve_allocs_per_query
 // the allocation cost gated by -max-hot-allocs. The same run times the
 // bulk shapes: one /v1/interfaces:batch POST against the per-request
@@ -104,7 +104,7 @@ type report struct {
 	FreshRecomputed       int64   `json:"fresh_recomputed,omitempty"`
 
 	// The -serve scenario: the daemon's query path, every query
-	// rendered from the snapshot's materialized tables.
+	// rendered from the snapshot's publish-time tables.
 	// ServeAllocsPerQuery is the heap-allocation cost of one
 	// steady-state query, gated by -max-hot-allocs.
 	ServeQueries        int     `json:"serve_queries,omitempty"`
@@ -429,7 +429,7 @@ func checkRegression(base, fresh *report, frac float64) error {
 	}
 	// The query path is gated the same way when both reports measured
 	// it: a regression means per-request work crept back onto it (the
-	// swap-time materialization contract).
+	// publish-time table contract).
 	if base.ServeNsPerQuery > 0 && fresh.ServeNsPerQuery > 0 {
 		ratio := float64(fresh.ServeNsPerQuery) / float64(base.ServeNsPerQuery)
 		fmt.Printf("serve ns/query vs baseline: %d -> %d (%.2fx)\n",

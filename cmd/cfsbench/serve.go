@@ -20,7 +20,7 @@ import (
 // converged system behind one server built with the options cfsd
 // ships, and one fixed request mix — snapshot digests, interface
 // lookups, AS-pair interconnection queries — every query rendered from
-// the snapshot's materialized tables. The pass reports nanoseconds and
+// the snapshot's publish-time tables. The pass reports nanoseconds and
 // allocations per query (runtime.MemStats deltas around the timed
 // loop; -max-hot-allocs gates the allocations). Two bulk shapes ride
 // the same server: one POST /v1/interfaces:batch of N addresses against
@@ -32,10 +32,9 @@ func measureServe(rep *report, profile string, seed int64, queries, runs int) er
 	if err != nil {
 		return fmt.Errorf("serve: %w", err)
 	}
+	// MapInterconnections builds the snapshot's serving tables at
+	// publish, so the passes measure serving — never table construction.
 	m := sys.MapInterconnections()
-	// Swap-time work happens here, as the daemon's writer loop would,
-	// so the passes measure serving — never table construction.
-	m.Materialize(0)
 	reqs, ips := buildServeRequests(m, queries)
 	if len(reqs) == 0 {
 		return fmt.Errorf("serve: no query targets in the snapshot")

@@ -22,9 +22,10 @@
 //	                            answers {"epoch":N,"applied":K}
 //
 // Every query is rendered from the current immutable snapshot and
-// stamped with its epoch (body and X-CFS-Epoch header). The writer loop
-// materializes each snapshot's serving tables at the swap, so queries
-// are table reads — never snapshot-wide builds.
+// stamped with its epoch (body and X-CFS-Epoch header). Each snapshot's
+// serving tables are built when it is published, before the batch that
+// produced it is acknowledged, so queries are table reads — never
+// snapshot-wide builds.
 // Writes — POSTed batches and, with -follow, records tailed from a
 // growing churn log — are serialized through one writer goroutine.
 //

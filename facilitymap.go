@@ -24,7 +24,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"runtime"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -128,7 +127,7 @@ func (s *System) MapInterconnections() *Mapping {
 	pipe, res := s.Env.RunCFSPipeline(c)
 	m := &Mapping{sys: s, res: res}
 	s.pipe = pipe
-	s.cur.Store(m)
+	s.publish(m)
 	return m
 }
 
@@ -151,8 +150,18 @@ func (s *System) Apply(log []delta.Delta) (*Mapping, error) {
 		return nil, err
 	}
 	m := &Mapping{sys: s, res: res}
-	s.cur.Store(m)
+	s.publish(m)
 	return m, nil
+}
+
+// publish makes m the current snapshot, then builds its serving tables
+// while the caller still holds s.mu: the next Apply cannot touch the
+// registry describe reads until this epoch is complete. Storing first
+// makes the epoch visible without waiting for the build; a reader that
+// loads it inside that window waits on the snapshot's build instead.
+func (s *System) publish(m *Mapping) {
+	s.cur.Store(m)
+	m.tables()
 }
 
 // Current returns the most recently published mapping snapshot, or nil
@@ -165,40 +174,34 @@ type Mapping struct {
 	sys *System
 	res *cfs.Result
 
-	// The AS-pair interconnection index is derived from res.Links once
-	// per snapshot, on first use: Mapping is immutable, so the lazily
-	// built index is valid for the snapshot's whole lifetime and safe
-	// to share across concurrent readers.
-	ixnOnce sync.Once
-	ixnIdx  map[asPair][]int // normalized AS pair -> indices into res.Links
-
-	// The materialized tables (described records plus their rendered
-	// JSON) are built at most once per snapshot — eagerly by Materialize
-	// (the daemon's writer loop calls it right after each publish) or
-	// lazily by the first accessor that needs them. The atomic pointer
-	// lets fast paths peek without entering the Once.
-	matOnce sync.Once
-	mat     atomic.Pointer[materialized]
+	// The serving tables are built exactly once per snapshot: at
+	// publish (MapInterconnections, Apply) or before MergeMappings
+	// returns. Every accessor reads them through tables(), so a reader
+	// that loads a snapshot before its build finishes waits on the same
+	// Once and never sees a partial table.
+	once sync.Once
+	tab  tables
 }
 
-// materialized is a snapshot's query-serving tables, derived once from
-// res so the request hot path never re-describes an interface: the
-// describe() formatting, provenance dedup and JSON marshaling all
-// happen here, at swap time, instead of per request.
-type materialized struct {
-	// order lists every interface resolved-first, then in ascending
-	// address order — the Interfaces() and stream-dump ordering.
-	order []netaddr.IP
-	// index maps an interface address to its position in order.
+// tables is a snapshot's query-serving state, derived once from res so
+// the request hot path never re-describes an interface: the describe()
+// formatting, provenance dedup and JSON marshaling all happen at
+// publish, not per request.
+type tables struct {
+	// index maps an interface address to its position in the listing
+	// order: resolved first, then ascending address.
 	index map[netaddr.IP]int
-	// infos[i] is the described record of order[i]; blobs[i] is its
-	// JSON rendering. Both are shared, immutable, and live exactly as
-	// long as the snapshot.
+	// infos[i] is the described record at listing position i; blobs[i]
+	// is its JSON rendering. Both are shared, immutable, and live
+	// exactly as long as the snapshot.
 	infos []InterfaceInfo
 	blobs [][]byte
 	// summary is the snapshot digest, pre-computed so /v1/snapshot
 	// never re-walks the router census per query.
 	summary SnapshotSummary
+	// pairs maps a normalized AS pair to its indices into res.Links,
+	// in ascending link order.
+	pairs map[asPair][]int
 }
 
 // asPair is a normalized (lo <= hi) AS pair, the interconnection
@@ -234,11 +237,9 @@ type InterfaceInfo struct {
 	Evidence []string
 }
 
-// Lookup reports the inference for one interface address. When the
-// snapshot has been materialized the answer is a table read; otherwise
-// the record is described on the fly (no full materialization is
-// triggered for a single lookup). Returned records share their slices
-// with the snapshot — treat them as read-only.
+// Lookup reports the inference for one interface address, read from
+// the snapshot's table. Returned records share their slices with the
+// snapshot — treat them as read-only.
 //
 //cfslint:hotpath
 func (m *Mapping) Lookup(ip string) (InterfaceInfo, bool) {
@@ -246,18 +247,12 @@ func (m *Mapping) Lookup(ip string) (InterfaceInfo, bool) {
 	if err != nil {
 		return InterfaceInfo{}, false
 	}
-	if mat := m.mat.Load(); mat != nil {
-		i, ok := mat.index[addr]
-		if !ok {
-			return InterfaceInfo{}, false
-		}
-		return mat.infos[i], true
-	}
-	ir, ok := m.res.Interfaces[addr]
+	t := m.tables()
+	i, ok := t.index[addr]
 	if !ok {
 		return InterfaceInfo{}, false
 	}
-	return m.describe(ir), true
+	return t.infos[i], true
 }
 
 // interfaceOrder returns the snapshot's canonical listing order —
@@ -288,108 +283,57 @@ func interfaceOrder(interfaces map[netaddr.IP]*cfs.InterfaceResult) []netaddr.IP
 }
 
 // Interfaces lists every inference, resolved first, in address order.
-// A materialized snapshot answers from its table; otherwise records
-// are described on the fly.
 func (m *Mapping) Interfaces() []InterfaceInfo {
-	if mat := m.mat.Load(); mat != nil {
-		out := make([]InterfaceInfo, len(mat.infos))
-		copy(out, mat.infos)
-		return out
-	}
-	ips := interfaceOrder(m.res.Interfaces)
-	out := make([]InterfaceInfo, 0, len(ips))
-	for _, ip := range ips {
-		out = append(out, m.describe(m.res.Interfaces[ip]))
-	}
+	infos := m.tables().infos
+	out := make([]InterfaceInfo, len(infos))
+	copy(out, infos)
 	return out
 }
 
-// foldWorkers resolves a Materialize worker count: 0 (or negative)
-// means one per available CPU.
-func foldWorkers(workers int) int {
-	if workers <= 0 {
-		return runtime.GOMAXPROCS(0)
-	}
-	return workers
+// tables returns the snapshot's serving tables, building them on the
+// first call. Publish makes that call, so readers of a published
+// snapshot find them built or wait for the build in progress.
+func (m *Mapping) tables() *tables {
+	m.once.Do(m.build)
+	return &m.tab
 }
 
-// parallelFold splits [0, n) into at most `workers` contiguous chunks
-// and runs fn on each from its own goroutine, waiting for all. Output
-// is index-addressed, so its order never depends on goroutine
-// scheduling. fn receives a dense 0-based shard index and its
-// half-open range; with one chunk it runs inline.
-func parallelFold(n, workers int, fn func(shard, lo, hi int)) {
-	if workers > n {
-		workers = n
+// Materialize makes sure the snapshot's serving tables are built.
+//
+// Deprecated: tables are built at publish; workers is ignored.
+func (m *Mapping) Materialize(workers int) { m.tables() }
+
+// build renders the serving tables in one serial pass: every
+// interface's described record and JSON blob in listing order, the
+// digest, and the AS-pair index.
+func (m *Mapping) build() {
+	order := interfaceOrder(m.res.Interfaces)
+	t := tables{
+		index: make(map[netaddr.IP]int, len(order)),
+		infos: make([]InterfaceInfo, len(order)),
+		blobs: make([][]byte, len(order)),
+		pairs: make(map[asPair][]int),
 	}
-	if workers <= 1 {
-		if n > 0 {
-			fn(0, 0, n)
-		}
-		return
+	for i, ip := range order {
+		t.index[ip] = i
+		t.infos[i] = m.describe(m.res.Interfaces[ip])
+		t.blobs[i], _ = json.Marshal(&t.infos[i])
 	}
-	var wg sync.WaitGroup
-	shard := 0
-	for s := 0; s < workers; s++ {
-		lo, hi := s*n/workers, (s+1)*n/workers
-		if lo == hi {
+	t.summary = m.computeSummary()
+	for i, l := range m.res.Links {
+		far := m.farASOf(l)
+		if l.NearAS == 0 || far == 0 || far == l.NearAS {
 			continue
 		}
-		wg.Add(1)
-		go func(shard, lo, hi int) {
-			defer wg.Done()
-			fn(shard, lo, hi)
-		}(shard, lo, hi)
-		shard++
+		key := pairKey(l.NearAS, far)
+		t.pairs[key] = append(t.pairs[key], i)
 	}
-	wg.Wait()
-}
-
-// Materialize builds the snapshot's query-serving tables — the
-// described record and rendered JSON of every interface, plus the
-// AS-pair interconnection index — in a parallel fold over `workers`
-// goroutines (0 = one per CPU). The daemon's writer loop calls this
-// right after each Apply publishes, so the first query after a swap
-// is a table read instead of a snapshot-wide build; calling it again
-// (from any goroutine) is a no-op. Library users never need it: every
-// accessor falls back to on-the-fly description.
-func (m *Mapping) Materialize(workers int) {
-	m.matOnce.Do(func() {
-		m.ixnOnce.Do(func() { m.buildInterconnectionIndex(workers) })
-		order := interfaceOrder(m.res.Interfaces)
-		mat := &materialized{
-			order: order,
-			index: make(map[netaddr.IP]int, len(order)),
-			infos: make([]InterfaceInfo, len(order)),
-			blobs: make([][]byte, len(order)),
-		}
-		parallelFold(len(order), foldWorkers(workers), func(_, lo, hi int) {
-			for i := lo; i < hi; i++ {
-				mat.infos[i] = m.describe(m.res.Interfaces[order[i]])
-				mat.blobs[i], _ = json.Marshal(&mat.infos[i])
-			}
-		})
-		for i, ip := range order {
-			mat.index[ip] = i
-		}
-		mat.summary = m.computeSummary()
-		m.mat.Store(mat)
-	})
-}
-
-// materialize is Materialize with one worker per CPU, used by the lazy
-// paths.
-func (m *Mapping) materialize() *materialized {
-	if mat := m.mat.Load(); mat != nil {
-		return mat
-	}
-	m.Materialize(0)
-	return m.mat.Load()
+	m.tab = t
 }
 
 // InterfaceJSON returns the pre-rendered JSON record (the InterfaceInfo
-// shape) for one interface address, materializing the snapshot's tables
-// on first use. The returned bytes are shared and immutable.
+// shape) for one interface address. The returned bytes are shared and
+// immutable.
 //
 //cfslint:hotpath
 func (m *Mapping) InterfaceJSON(ip string) ([]byte, bool) {
@@ -397,12 +341,12 @@ func (m *Mapping) InterfaceJSON(ip string) ([]byte, bool) {
 	if err != nil {
 		return nil, false
 	}
-	mat := m.materialize()
-	i, ok := mat.index[addr]
+	t := m.tables()
+	i, ok := t.index[addr]
 	if !ok {
 		return nil, false
 	}
-	return mat.blobs[i], true
+	return t.blobs[i], true
 }
 
 // EachInterfaceJSON calls yield with every interface's pre-rendered
@@ -412,7 +356,7 @@ func (m *Mapping) InterfaceJSON(ip string) ([]byte, bool) {
 //
 //cfslint:hotpath
 func (m *Mapping) EachInterfaceJSON(yield func(rec []byte) bool) {
-	for _, b := range m.materialize().blobs {
+	for _, b := range m.tables().blobs {
 		if !yield(b) {
 			return
 		}
@@ -485,7 +429,7 @@ type Interconnection struct {
 // and where are they established" — served from the epoch's immutable
 // snapshot.
 func (m *Mapping) Interconnections(a, b int) []Interconnection {
-	idx := m.interconnectionIndex()[pairKey(world.ASN(a), world.ASN(b))]
+	idx := m.tables().pairs[pairKey(world.ASN(a), world.ASN(b))]
 	out := make([]Interconnection, 0, len(idx))
 	for _, i := range idx {
 		out = append(out, m.describeLink(m.res.Links[i]))
@@ -496,56 +440,12 @@ func (m *Mapping) Interconnections(a, b int) []Interconnection {
 // ASPairs returns the number of distinct AS pairs with at least one
 // classified interconnection in this snapshot.
 func (m *Mapping) ASPairs() int {
-	return len(m.interconnectionIndex())
+	return len(m.tables().pairs)
 }
 
-// interconnectionIndex returns the per-AS-pair link index, building it
-// on first use with one worker per CPU. Materialize forces the build at
-// swap time so daemon queries never pay it.
-func (m *Mapping) interconnectionIndex() map[asPair][]int {
-	m.ixnOnce.Do(func() { m.buildInterconnectionIndex(0) })
-	return m.ixnIdx
-}
-
-// buildInterconnectionIndex folds res.Links into the per-AS-pair index
-// with a parallel fold: contiguous link ranges build per-shard partial
-// indexes, merged in shard order so every pair's link list stays in
-// ascending global link order regardless of worker count. The far-end
-// AS of a public link is the owner of the replying IXP port, resolved
-// through the snapshot's own interface inferences (the same rule the
-// resilience analyzer applies).
-func (m *Mapping) buildInterconnectionIndex(workers int) {
-	links := m.res.Links
-	w := foldWorkers(workers)
-	if w > len(links) {
-		w = len(links)
-	}
-	if w < 1 {
-		w = 1
-	}
-	parts := make([]map[asPair][]int, w)
-	parallelFold(len(links), w, func(shard, lo, hi int) {
-		part := make(map[asPair][]int)
-		for i := lo; i < hi; i++ {
-			l := links[i]
-			far := m.farASOf(l)
-			if l.NearAS == 0 || far == 0 || far == l.NearAS {
-				continue
-			}
-			key := pairKey(l.NearAS, far)
-			part[key] = append(part[key], i)
-		}
-		parts[shard] = part
-	})
-	idx := make(map[asPair][]int)
-	for _, part := range parts {
-		for key, is := range part {
-			idx[key] = append(idx[key], is...)
-		}
-	}
-	m.ixnIdx = idx
-}
-
+// farASOf is the far-end AS of a link. For a public link that is the
+// owner of the replying IXP port, resolved through the snapshot's own
+// interface inferences (the same rule the resilience analyzer applies).
 func (m *Mapping) farASOf(l *cfs.Adjacency) world.ASN {
 	if !l.Public {
 		return l.FarAS
@@ -643,7 +543,9 @@ func MergeMappings(mappings ...*Mapping) *Mapping {
 	for _, m := range mappings {
 		results = append(results, m.res)
 	}
-	return &Mapping{sys: mappings[0].sys, res: cfs.Merge(results...)}
+	m := &Mapping{sys: mappings[0].sys, res: cfs.Merge(results...)}
+	m.tables()
+	return m
 }
 
 // SnapshotSummary is the JSON-shaped digest of one snapshot: the epoch
@@ -665,15 +567,8 @@ type SnapshotSummary struct {
 	ProximityPlacements int     `json:"proximity_placements"`
 }
 
-// Summarize condenses the snapshot into its JSON-shaped digest. A
-// materialized snapshot answers from its pre-computed digest; otherwise
-// the census runs on the fly.
-func (m *Mapping) Summarize() SnapshotSummary {
-	if mat := m.mat.Load(); mat != nil {
-		return mat.summary
-	}
-	return m.computeSummary()
-}
+// Summarize returns the snapshot's pre-computed JSON-shaped digest.
+func (m *Mapping) Summarize() SnapshotSummary { return m.tables().summary }
 
 func (m *Mapping) computeSummary() SnapshotSummary {
 	census := m.res.Census()

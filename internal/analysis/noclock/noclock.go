@@ -1,7 +1,7 @@
 // Package noclock forbids ambient nondeterminism sources inside the
 // engine packages (internal/cfs, internal/trace, internal/delta), the
-// snapshot facade (the root facilitymap package, whose swap-time
-// materialization must render byte-identical tables for a given
+// snapshot facade (the root facilitymap package, whose publish-time
+// table build must render byte-identical tables for a given
 // snapshot) and the daemon layer (internal/serve, cmd/cfsd):
 // wall-clock reads (time.Now, time.Since, time.Sleep) and anything
 // from math/rand.

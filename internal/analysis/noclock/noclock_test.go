@@ -11,9 +11,8 @@ func TestNoclock(t *testing.T) {
 	analysistest.Run(t, "testdata", noclock.Analyzer, "trace")
 }
 
-// TestNoclockFacade covers the root-package scope added with swap-time
-// materialization: the facade's fold is held to the same determinism
-// bar as the engine packages.
+// TestNoclockFacade covers the root-package scope: the facade's table
+// build is held to the same determinism bar as the engine packages.
 func TestNoclockFacade(t *testing.T) {
 	analysistest.Run(t, "testdata", noclock.Analyzer, "facilitymap")
 }

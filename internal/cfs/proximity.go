@@ -1,9 +1,6 @@
 package cfs
 
-import (
-	"facilitymap/internal/netaddr"
-	"facilitymap/internal/world"
-)
+import "facilitymap/internal/world"
 
 // Proximity is the learned facility-proximity ranking of one IXP:
 // counts of how often a resolved near-end facility exchanged traffic
@@ -109,22 +106,4 @@ func (p *Pipeline) applyProximity(st *state, res *Result) {
 			res.ProximityInferences++
 		}
 	}
-}
-
-// ProximityFromResults builds a ranking from externally-supplied
-// resolved crossings; used by the §4.4 validation experiment, which
-// learns from one member population and tests on another.
-func ProximityFromResults(links []*Adjacency, loc map[netaddr.IP]world.FacilityID) *Proximity {
-	px := NewProximity()
-	for _, a := range links {
-		if !a.Public {
-			continue
-		}
-		n, okN := loc[a.Near]
-		f, okF := loc[a.FarPort]
-		if okN && okF {
-			px.Observe(a.IXP, n, f)
-		}
-	}
-	return px
 }

@@ -207,20 +207,3 @@ func (w *worklist) aliasPass() (recomputed int) {
 	w.dirtySets = make(map[int]bool)
 	return w.st.aliasStepSets(idxs)
 }
-
-// invalidateAS re-enqueues every adjacency constrained by asn's
-// facility list. The registry is immutable within a run, so the run
-// loop never calls this; it is the hook a streaming feed of PeeringDB
-// updates uses to make the fixed point track facility-list edits.
-func (w *worklist) invalidateAS(asn world.ASN) {
-	for _, idx := range w.asAdjs[asn] {
-		w.dirtyAdj[idx] = true
-	}
-}
-
-// invalidateIXP is invalidateAS for an IXP's facility list.
-func (w *worklist) invalidateIXP(ix world.IXPID) {
-	for _, idx := range w.ixpAdjs[ix] {
-		w.dirtyAdj[idx] = true
-	}
-}

@@ -2,6 +2,7 @@ package cfs
 
 import (
 	"fmt"
+	"slices"
 	"testing"
 
 	"facilitymap/internal/world"
@@ -92,8 +93,8 @@ func TestWorklistDoesLessWork(t *testing.T) {
 }
 
 // TestWorklistInvalidation exercises the registry-facing half of the
-// dependency index: invalidating an AS or IXP facility list re-enqueues
-// exactly its dependent adjacencies, and re-proposing them against an
+// dependency index: an AS's and an IXP's facility-list entries name
+// their dependent adjacencies, and re-proposing those against an
 // unchanged registry is a no-op.
 func TestWorklistInvalidation(t *testing.T) {
 	s := buildStack(t, world.Small())
@@ -125,20 +126,23 @@ func TestWorklistInvalidation(t *testing.T) {
 		t.Fatal("no public adjacency with a resolved owner in the corpus")
 	}
 
-	w.invalidateAS(pub.NearAS)
-	if !w.dirtyAdj[pubIdx] {
-		t.Fatalf("invalidateAS(%v) did not re-enqueue adjacency %d", pub.NearAS, pubIdx)
+	if !slices.Contains(w.asAdjs[pub.NearAS], pubIdx) {
+		t.Fatalf("AS %v's facility-list entry misses adjacency %d", pub.NearAS, pubIdx)
+	}
+	if !slices.Contains(w.ixpAdjs[pub.IXP], pubIdx) {
+		t.Fatalf("IXP %d's facility-list entry misses adjacency %d", pub.IXP, pubIdx)
+	}
+	for _, idx := range w.asAdjs[pub.NearAS] {
+		w.dirtyAdj[idx] = true
+	}
+	for _, idx := range w.ixpAdjs[pub.IXP] {
+		w.dirtyAdj[idx] = true
 	}
 	st.changed = false
 	if d, _ := w.constraintPass(); d == 0 {
-		t.Fatal("invalidated adjacencies were not reprocessed")
+		t.Fatal("dirtied adjacencies were not reprocessed")
 	}
 	if st.changed {
 		t.Error("re-proposing against an unchanged registry narrowed a candidate set")
-	}
-
-	w.invalidateIXP(pub.IXP)
-	if !w.dirtyAdj[pubIdx] {
-		t.Fatalf("invalidateIXP(%d) did not re-enqueue adjacency %d", pub.IXP, pubIdx)
 	}
 }

@@ -6,8 +6,6 @@
 package experiments
 
 import (
-	"sort"
-
 	"facilitymap/internal/alias"
 	"facilitymap/internal/bgp"
 	"facilitymap/internal/cfs"
@@ -225,18 +223,6 @@ func (e *Env) RunCFSPipeline(cfg cfs.Config) (*cfs.Pipeline, *cfs.Result) {
 	return p, res
 }
 
-// FreshRunCFS builds a brand-new environment for the given world and
-// seed and runs the pipeline once. Use this — not two RunCFS calls on
-// one Env — when comparing runs for equivalence: the trace engine
-// derives measurement jitter from a global probe counter, so a second
-// run on a shared engine sees different RTT draws (and thus possibly
-// different remote-peering verdicts) than the first. A fresh
-// environment restarts the counter, making runs with equal (world,
-// seed, config) inputs bit-for-bit comparable.
-func FreshRunCFS(wcfg world.Config, seed int64, cfg cfs.Config) *cfs.Result {
-	return NewEnv(wcfg, seed).RunCFS(cfg)
-}
-
 // RunCFSOn executes the pipeline against a substitute registry database
 // (the Figure 8 knockout uses this).
 func (e *Env) RunCFSOn(cfg cfs.Config, db *registry.Database) *cfs.Result {
@@ -275,27 +261,4 @@ func (e *Env) Validator() *validation.Validator {
 		FeedbackASes:   feedback,
 		CommunityDicts: dicts,
 	}
-}
-
-// DestinationSampleForDebug exposes the validator's destination sampling
-// for diagnostic tools.
-func DestinationSampleForDebug(res *cfs.Result, n int) []netaddr.IP {
-	var ips []netaddr.IP
-	for ip := range res.Interfaces {
-		ips = append(ips, ip)
-	}
-	sortIPs(ips)
-	if len(ips) <= n {
-		return ips
-	}
-	step := len(ips) / n
-	var out []netaddr.IP
-	for i := 0; i < len(ips) && len(out) < n; i += step {
-		out = append(out, ips[i])
-	}
-	return out
-}
-
-func sortIPs(ips []netaddr.IP) {
-	sort.Slice(ips, func(i, j int) bool { return ips[i] < ips[j] })
 }

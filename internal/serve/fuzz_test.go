@@ -60,7 +60,6 @@ func FuzzBatchBody(f *testing.F) {
 		f.Fatal(err)
 	}
 	m := sys.MapInterconnections()
-	m.Materialize(0)
 	h := New(sys, Options{Obs: obs.New(0)}).Handler()
 
 	ips, _ := sampleQueries(m, 2, 1)

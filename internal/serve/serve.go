@@ -9,11 +9,11 @@
 // from that one snapshot — a response is consistent with exactly one
 // epoch even while Apply is publishing the next.
 //
-// There is one read path and no response cache: the writer loop
-// materializes each snapshot's tables (described records, pre-rendered
-// JSON, the AS-pair index) at swap time, so every query renders
-// straight from the snapshot as table reads and byte appends — never a
-// snapshot-wide build. Batched (POST /v1/interfaces:batch) and
+// There is one read path and no response cache: the facade builds each
+// snapshot's tables (described records, pre-rendered JSON, the digest,
+// the AS-pair index) when it publishes the snapshot, so every query
+// renders straight from the snapshot as table reads and byte appends —
+// never a snapshot-wide build. Batched (POST /v1/interfaces:batch) and
 // streaming (GET /v1/interfaces/stream) shapes amortize per-request
 // overhead for bulk consumers.
 //
@@ -330,8 +330,8 @@ func (s *Server) handleInterface(w http.ResponseWriter, r *http.Request) {
 			})
 			return http.StatusNotFound, body
 		}
-		// The record was marshaled once at materialization; the response
-		// just frames it with the epoch.
+		// The record was marshaled once when the snapshot was published;
+		// the response just frames it with the epoch.
 		return http.StatusOK, wrapEpochField(m.Epoch(), "interface", rec)
 	})
 }
@@ -632,16 +632,11 @@ func (s *Server) enqueue(ctx context.Context, log []delta.Delta) (*facilitymap.M
 }
 
 // Run is the single writer loop: every System.Apply in the daemon goes
-// through here, one batch at a time. On entry it materializes the boot
-// snapshot (if one is already published) so the very first query is a
-// table read. It blocks until ctx is canceled, then drains batches
-// already queued (graceful SIGTERM semantics — an accepted POST is
-// never dropped) and closes Done.
+// through here, one batch at a time. It blocks until ctx is canceled,
+// then drains batches already queued (graceful SIGTERM semantics — an
+// accepted POST is never dropped) and closes Done.
 func (s *Server) Run(ctx context.Context) {
 	defer close(s.done)
-	if m := s.sys.Current(); m != nil {
-		m.Materialize(0)
-	}
 	for {
 		select {
 		case req := <-s.applyCh:
@@ -664,10 +659,6 @@ func (s *Server) apply(req applyReq) {
 	if err != nil {
 		s.applyErrs.Inc()
 	} else {
-		// Swap-time materialization: build the new snapshot's tables on
-		// the writer — a parallel fold over the interface set — before
-		// acknowledging the batch, so no query ever pays the build.
-		m.Materialize(0)
 		s.applied.Add(int64(len(req.log)))
 		s.epochGauge.Set(int64(m.Epoch()))
 	}
