@@ -14,6 +14,7 @@ package alias
 
 import (
 	"math/rand"
+	"slices"
 	"sort"
 
 	"facilitymap/internal/netaddr"
@@ -80,17 +81,49 @@ func (p *Prober) counter(r world.RouterID) *counterState {
 	return cs
 }
 
+// target is one probed address resolved against the world once per
+// Resolve: whether it exists, its router and that router's IP-ID
+// behaviour, and the router's counter state. cs binds lazily, at the
+// target's first shared-counter probe: creating a counter draws from
+// the prober's RNG, so it must happen at that point of the probe
+// sequence and no earlier.
+type target struct {
+	ip     netaddr.IP
+	exists bool
+	router world.RouterID
+	ipid   world.IPIDBehavior
+	cs     *counterState
+}
+
+// target resolves ip to its probe handle.
+func (p *Prober) target(ip netaddr.IP) target {
+	t := target{ip: ip}
+	if ifc := p.w.InterfaceByIP(ip); ifc != nil {
+		t.exists = true
+		t.router = ifc.Router
+		t.ipid = p.w.Routers[ifc.Router].IPID
+	}
+	return t
+}
+
 // Probe sends one IP-ID probe to ip. The returned value is the 16-bit
 // IP-ID of the reply; ok is false when the router does not answer.
 func (p *Prober) Probe(ip netaddr.IP) (uint16, bool) {
+	t := p.target(ip)
+	return p.probe(&t)
+}
+
+// probe sends one IP-ID probe through a resolved handle. Every probe
+// advances the clock by one jittered tick, answered or not.
+//
+//cfslint:hotpath
+func (p *Prober) probe(t *target) (uint16, bool) {
 	p.clock += p.perTick * (0.8 + 0.4*p.rng.Float64())
 	p.Probes++
-	ifc := p.w.InterfaceByIP(ip)
-	if ifc == nil {
+	if !t.exists {
 		return 0, false
 	}
-	r := p.w.Routers[ifc.Router]
-	switch r.IPID {
+	switch t.ipid {
 	case world.IPIDUnresponsive:
 		return 0, false
 	case world.IPIDConstant:
@@ -98,9 +131,11 @@ func (p *Prober) Probe(ip netaddr.IP) (uint16, bool) {
 	case world.IPIDRandom:
 		return uint16(p.rng.Intn(1 << 16)), true
 	default: // shared counter
-		cs := p.counter(ifc.Router)
-		cs.sent++
-		v := cs.base + uint32(cs.rate*p.clock) + cs.sent
+		if t.cs == nil {
+			t.cs = p.counter(t.router)
+		}
+		t.cs.sent++
+		v := t.cs.base + uint32(t.cs.rate*p.clock) + t.cs.sent
 		return uint16(v), true
 	}
 }
@@ -167,93 +202,81 @@ const (
 
 // Resolve runs the full MIDAR-like pipeline over the candidate addresses.
 func Resolve(p *Prober, ips []netaddr.IP) *Sets {
-	// Deduplicate and sort for determinism.
-	uniq := make(map[netaddr.IP]bool, len(ips))
-	for _, ip := range ips {
-		uniq[ip] = true
+	// Deduplicate and sort for determinism, then resolve every address
+	// to its probe handle once.
+	targets := append([]netaddr.IP(nil), ips...)
+	slices.Sort(targets)
+	targets = slices.Compact(targets)
+	handles := make([]target, len(targets))
+	for i, ip := range targets {
+		handles[i] = p.target(ip)
 	}
-	var targets []netaddr.IP
-	for ip := range uniq {
-		targets = append(targets, ip)
-	}
-	sort.Slice(targets, func(i, j int) bool { return targets[i] < targets[j] })
 
 	// Stage 1: estimation. Probe each target and keep those with a
 	// usable monotonic counter, estimating its velocity.
 	type candidate struct {
-		ip  netaddr.IP
+		t   *target
 		vel float64
 	}
 	var cands []candidate
-	for _, ip := range targets {
-		var series []sample
+	for i := range handles {
+		t := &handles[i]
+		var series [estimationProbes]sample
 		ok := true
-		for i := 0; i < estimationProbes; i++ {
-			id, responded := p.Probe(ip)
+		for k := range series {
+			id, responded := p.probe(t)
 			if !responded {
 				ok = false
 				break
 			}
-			series = append(series, sample{p.Clock(), id})
+			series[k] = sample{p.clock, id}
 		}
 		if !ok {
 			continue
 		}
-		vel, usable := estimateVelocity(series)
+		vel, usable := estimateVelocity(series[:])
 		if !usable {
 			continue
 		}
-		cands = append(cands, candidate{ip, vel})
+		cands = append(cands, candidate{t, vel})
 	}
 
 	// Stage 2: velocity sharding. Only pairs with compatible velocities
-	// can share a counter; sort by velocity and group neighbours.
+	// can share a counter; sort by velocity and group neighbours. The
+	// union-find runs over candidate positions in this order.
 	sort.Slice(cands, func(i, j int) bool {
 		if cands[i].vel != cands[j].vel {
 			return cands[i].vel < cands[j].vel
 		}
-		return cands[i].ip < cands[j].ip
+		return cands[i].t.ip < cands[j].t.ip
 	})
-	parent := make(map[netaddr.IP]netaddr.IP, len(cands))
-	var find func(netaddr.IP) netaddr.IP
-	find = func(x netaddr.IP) netaddr.IP {
-		if parent[x] == x {
-			return x
-		}
-		parent[x] = find(parent[x])
-		return parent[x]
+	parent := make([]int, len(cands))
+	for i := range parent {
+		parent[i] = i
 	}
-	for _, c := range cands {
-		parent[c.ip] = c.ip
-	}
-	union := func(a, b netaddr.IP) {
-		ra, rb := find(a), find(b)
-		if ra != rb {
-			parent[rb] = ra
+	find := func(x int) int {
+		for parent[x] != x {
+			parent[x] = parent[parent[x]]
+			x = parent[x]
 		}
+		return x
 	}
 
-	// Stage 3: pairwise MBT within each shard, skipping pairs already
-	// joined transitively.
+	// Stage 3: pairwise MBT within each shard. Each velocity-compatible
+	// pair is tested exactly once.
 	type edge struct {
-		a, b netaddr.IP
+		a, b int
 		vel  float64
 	}
 	var passed []edge
-	joined := make(map[[2]netaddr.IP]bool)
 	for i := 0; i < len(cands); i++ {
 		for j := i + 1; j < len(cands); j++ {
 			if !velocityCompatible(cands[i].vel, cands[j].vel) {
 				break // sorted by velocity: nothing further matches
 			}
-			key := [2]netaddr.IP{cands[i].ip, cands[j].ip}
-			if joined[key] {
-				continue
-			}
 			v := (cands[i].vel + cands[j].vel) / 2
-			if monotonicBoundsTest(p, cands[i].ip, cands[j].ip, v) {
-				passed = append(passed, edge{cands[i].ip, cands[j].ip, v})
-				joined[key] = true
+			if monotonicBoundsTest(p, cands[i].t, cands[j].t, v) {
+				passed = append(passed, edge{i, j, v})
 			}
 		}
 	}
@@ -263,26 +286,28 @@ func Resolve(p *Prober, ips []netaddr.IP) *Sets {
 	// re-test rejects them; genuine aliases share one counter and pass
 	// forever.
 	for _, e := range passed {
-		if find(e.a) == find(e.b) {
-			continue // already corroborated transitively? still verify
+		ra, rb := find(e.a), find(e.b)
+		if ra == rb {
+			continue // already joined through earlier corroborated edges: no re-test
 		}
-		if monotonicBoundsTest(p, e.a, e.b, e.vel) {
-			union(e.a, e.b)
+		if monotonicBoundsTest(p, cands[e.a].t, cands[e.b].t, e.vel) {
+			parent[rb] = ra
 		}
 	}
 
-	// Assemble sets; untestable targets become singletons.
+	// Assemble sets, ordered by their root's address; untestable targets
+	// become singletons.
 	s := &Sets{byIP: make(map[netaddr.IP]int, len(targets))}
-	groups := make(map[netaddr.IP][]netaddr.IP)
-	for _, c := range cands {
-		root := find(c.ip)
-		groups[root] = append(groups[root], c.ip)
+	groups := make([][]netaddr.IP, len(cands))
+	var roots []int
+	for i, c := range cands {
+		root := find(i)
+		if groups[root] == nil {
+			roots = append(roots, root)
+		}
+		groups[root] = append(groups[root], c.t.ip)
 	}
-	var roots []netaddr.IP
-	for r := range groups {
-		roots = append(roots, r)
-	}
-	sort.Slice(roots, func(i, j int) bool { return roots[i] < roots[j] })
+	sort.Slice(roots, func(i, j int) bool { return cands[roots[i]].t.ip < cands[roots[j]].t.ip })
 	for _, r := range roots {
 		set := groups[r]
 		sort.Slice(set, func(i, j int) bool { return set[i] < set[j] })
@@ -339,18 +364,20 @@ func estimateVelocity(series []sample) (float64, bool) {
 // monotonicBoundsTest interleaves probes between two addresses and
 // accepts them as aliases when every consecutive IP-ID delta is within
 // the bound implied by the estimated shared velocity.
-func monotonicBoundsTest(p *Prober, a, b netaddr.IP, vel float64) bool {
-	var merged []sample
-	for i := 0; i < mbtProbes; i++ {
-		ip := a
+//
+//cfslint:hotpath
+func monotonicBoundsTest(p *Prober, a, b *target, vel float64) bool {
+	var merged [mbtProbes]sample
+	for i := range merged {
+		t := a
 		if i%2 == 1 {
-			ip = b
+			t = b
 		}
-		id, ok := p.Probe(ip)
+		id, ok := p.probe(t)
 		if !ok {
 			return false
 		}
-		merged = append(merged, sample{p.Clock(), id})
+		merged[i] = sample{p.clock, id}
 	}
 	for i := 1; i < len(merged); i++ {
 		dt := merged[i].t - merged[i-1].t

@@ -1,6 +1,8 @@
 package alias
 
 import (
+	"reflect"
+	"sort"
 	"testing"
 	"testing/quick"
 
@@ -202,5 +204,208 @@ func TestProbeAccounting(t *testing.T) {
 	}
 	if p.Clock() <= 0 {
 		t.Error("clock did not advance")
+	}
+}
+
+// refResolve is the IP-keyed Resolve the probe handles replaced: every
+// sample goes through Probe (one world lookup per probe) and the
+// union-find is keyed by address. It is kept as the differential
+// reference for the handle path.
+func refResolve(p *Prober, ips []netaddr.IP) *Sets {
+	uniq := make(map[netaddr.IP]bool, len(ips))
+	for _, ip := range ips {
+		uniq[ip] = true
+	}
+	var targets []netaddr.IP
+	for ip := range uniq {
+		targets = append(targets, ip)
+	}
+	sort.Slice(targets, func(i, j int) bool { return targets[i] < targets[j] })
+
+	type candidate struct {
+		ip  netaddr.IP
+		vel float64
+	}
+	var cands []candidate
+	for _, ip := range targets {
+		var series []sample
+		ok := true
+		for i := 0; i < estimationProbes; i++ {
+			id, responded := p.Probe(ip)
+			if !responded {
+				ok = false
+				break
+			}
+			series = append(series, sample{p.Clock(), id})
+		}
+		if !ok {
+			continue
+		}
+		vel, usable := estimateVelocity(series)
+		if !usable {
+			continue
+		}
+		cands = append(cands, candidate{ip, vel})
+	}
+	sort.Slice(cands, func(i, j int) bool {
+		if cands[i].vel != cands[j].vel {
+			return cands[i].vel < cands[j].vel
+		}
+		return cands[i].ip < cands[j].ip
+	})
+	parent := make(map[netaddr.IP]netaddr.IP, len(cands))
+	var find func(netaddr.IP) netaddr.IP
+	find = func(x netaddr.IP) netaddr.IP {
+		if parent[x] == x {
+			return x
+		}
+		parent[x] = find(parent[x])
+		return parent[x]
+	}
+	for _, c := range cands {
+		parent[c.ip] = c.ip
+	}
+	mbt := func(a, b netaddr.IP, vel float64) bool {
+		var merged []sample
+		for i := 0; i < mbtProbes; i++ {
+			ip := a
+			if i%2 == 1 {
+				ip = b
+			}
+			id, ok := p.Probe(ip)
+			if !ok {
+				return false
+			}
+			merged = append(merged, sample{p.Clock(), id})
+		}
+		for i := 1; i < len(merged); i++ {
+			dt := merged[i].t - merged[i-1].t
+			delta := float64(uint16(merged[i].id - merged[i-1].id))
+			if delta > vel*dt*3+16 {
+				return false
+			}
+		}
+		return true
+	}
+	type edge struct {
+		a, b netaddr.IP
+		vel  float64
+	}
+	var passed []edge
+	for i := 0; i < len(cands); i++ {
+		for j := i + 1; j < len(cands); j++ {
+			if !velocityCompatible(cands[i].vel, cands[j].vel) {
+				break
+			}
+			v := (cands[i].vel + cands[j].vel) / 2
+			if mbt(cands[i].ip, cands[j].ip, v) {
+				passed = append(passed, edge{cands[i].ip, cands[j].ip, v})
+			}
+		}
+	}
+	for _, e := range passed {
+		ra, rb := find(e.a), find(e.b)
+		if ra == rb {
+			continue
+		}
+		if mbt(e.a, e.b, e.vel) {
+			parent[rb] = ra
+		}
+	}
+	s := &Sets{byIP: make(map[netaddr.IP]int, len(targets))}
+	groups := make(map[netaddr.IP][]netaddr.IP)
+	for _, c := range cands {
+		root := find(c.ip)
+		groups[root] = append(groups[root], c.ip)
+	}
+	var roots []netaddr.IP
+	for r := range groups {
+		roots = append(roots, r)
+	}
+	sort.Slice(roots, func(i, j int) bool { return roots[i] < roots[j] })
+	for _, r := range roots {
+		set := groups[r]
+		sort.Slice(set, func(i, j int) bool { return set[i] < set[j] })
+		id := len(s.sets)
+		s.sets = append(s.sets, set)
+		for _, ip := range set {
+			s.byIP[ip] = id
+		}
+	}
+	for _, ip := range targets {
+		if _, done := s.byIP[ip]; !done {
+			id := len(s.sets)
+			s.sets = append(s.sets, []netaddr.IP{ip})
+			s.byIP[ip] = id
+		}
+	}
+	return s
+}
+
+// TestResolveMatchesReference drives Resolve and refResolve over twin
+// probers through three calls over a growing pool (counter state and
+// the RNG stream carry over between calls) and one call after
+// ResetStream. After every call the sets, the probe ledger, the clock,
+// every router's counter state and the next probe's answer must agree.
+func TestResolveMatchesReference(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		cfg  world.Config
+	}{{"small", world.Small()}, {"medium", world.Medium()}} {
+		t.Run(tc.name, func(t *testing.T) {
+			w := world.Generate(tc.cfg)
+			got, want := NewProber(w, 5), NewProber(w, 5)
+			// Discovery order, as the CFS pool grows it: a strided walk
+			// so each step adds addresses of routers seen before.
+			var order []netaddr.IP
+			for s := 0; s < 3; s++ {
+				for i := s; i < len(w.Interfaces); i += 3 {
+					order = append(order, w.Interfaces[i].IP)
+				}
+			}
+			order = append(order, netaddr.MustParseIP("203.0.113.7")) // on no interface
+			var shared netaddr.IP
+			for _, r := range w.Routers {
+				if r.IPID == world.IPIDSharedCounter && len(r.Interfaces) >= 2 {
+					shared = w.Interfaces[r.Interfaces[0]].IP
+					break
+				}
+			}
+			step := func(label string, pool []netaddr.IP) {
+				t.Helper()
+				gs, ws := Resolve(got, pool), refResolve(want, pool)
+				if !reflect.DeepEqual(gs, ws) {
+					t.Fatalf("%s: sets differ (%d vs %d sets, %d vs %d non-trivial)",
+						label, len(gs.All()), len(ws.All()), gs.NonTrivial(), ws.NonTrivial())
+				}
+				if ws.NonTrivial() == 0 {
+					t.Fatalf("%s: no multi-address set: the comparison would not reach union-find order", label)
+				}
+				if got.Probes != want.Probes || got.Clock() != want.Clock() {
+					t.Fatalf("%s: probes/clock %d/%v, reference %d/%v",
+						label, got.Probes, got.Clock(), want.Probes, want.Clock())
+				}
+				if len(got.state) != len(want.state) {
+					t.Fatalf("%s: %d counter states, reference %d", label, len(got.state), len(want.state))
+				}
+				for r, cs := range want.state {
+					if g := got.state[r]; g == nil || *g != *cs {
+						t.Fatalf("%s: router %d counter %+v, reference %+v", label, r, g, cs)
+					}
+				}
+				gv, gok := got.Probe(shared)
+				wv, wok := want.Probe(shared)
+				if gv != wv || gok != wok {
+					t.Fatalf("%s: next probe %d/%v, reference %d/%v", label, gv, gok, wv, wok)
+				}
+			}
+			n := len(order)
+			step("first third", order[:n/3])
+			step("two thirds", order[:2*n/3])
+			step("whole pool", order)
+			got.ResetStream()
+			want.ResetStream()
+			step("after ResetStream", order[:2*n/3])
+		})
 	}
 }

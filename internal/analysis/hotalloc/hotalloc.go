@@ -7,7 +7,8 @@
 //   - fmt.Sprintf / Sprint / Sprintln / Errorf — always allocate, and
 //     box every operand on the way in;
 //   - append whose target provably starts unsized (a capacity-less
-//     make or a slice literal) — growth reallocates per append chain;
+//     make, a slice literal or a local declared without a value) —
+//     growth reallocates per append chain;
 //   - interface boxing: a concrete value passed to an interface
 //     parameter allocates unless escape analysis gets lucky;
 //   - capturing closures: a func literal that references enclosing
@@ -39,7 +40,7 @@ var Analyzer = &framework.Analyzer{
 	Doc: "functions marked //cfslint:hotpath reject alloc-prone constructs: " +
 		"fmt.Sprintf, unsized append growth, interface boxing, capturing " +
 		"closures, map allocation",
-	Packages: []string{"facilitymap", "internal/serve"},
+	Packages: []string{"facilitymap", "internal/serve", "internal/alias"},
 	Run:      run,
 }
 
@@ -58,7 +59,7 @@ func checkFunc(pass *framework.Pass, fn *ast.FuncDecl) {
 	ast.Inspect(fn.Body, func(n ast.Node) bool {
 		switch n := n.(type) {
 		case *ast.CallExpr:
-			checkCall(pass, origins, n)
+			checkCall(pass, fn, origins, n)
 		case *ast.FuncLit:
 			checkClosure(pass, fn, n)
 		case *ast.CompositeLit:
@@ -73,11 +74,11 @@ func checkFunc(pass *framework.Pass, fn *ast.FuncDecl) {
 	})
 }
 
-func checkCall(pass *framework.Pass, origins *framework.Origins, call *ast.CallExpr) {
+func checkCall(pass *framework.Pass, fn *ast.FuncDecl, origins *framework.Origins, call *ast.CallExpr) {
 	if id, ok := calleeIdent(call); ok {
 		switch id {
 		case "append":
-			checkAppend(pass, origins, call)
+			checkAppend(pass, fn, origins, call)
 			return
 		case "make":
 			if t := pass.TypesInfo.TypeOf(call); t != nil {
@@ -111,12 +112,13 @@ func calleeIdent(call *ast.CallExpr) (string, bool) {
 }
 
 // checkAppend flags an append whose target slice provably starts
-// without capacity: every origin root is a make with no cap argument
-// or a slice literal. Targets rooted in parameters, field reads or
+// without capacity: every origin root is a make with no cap argument,
+// a slice literal, or a local of fn declared without a value (`var s
+// []T` starts nil). Targets rooted in parameters, field reads or
 // sized makes are the caller's business. Append chains (`b =
 // append(b, ...)`) are seen through: an append root contributes its
 // own target's roots.
-func checkAppend(pass *framework.Pass, origins *framework.Origins, call *ast.CallExpr) {
+func checkAppend(pass *framework.Pass, fn *ast.FuncDecl, origins *framework.Origins, call *ast.CallExpr) {
 	if len(call.Args) == 0 {
 		return
 	}
@@ -125,7 +127,7 @@ func checkAppend(pass *framework.Pass, origins *framework.Origins, call *ast.Cal
 	for _, r := range origins.Roots(call.Args[0]) {
 		work = append(work, r)
 	}
-	unsized := false
+	unsized := nilDeclared(pass, fn, call.Args[0])
 	for len(work) > 0 {
 		root := work[len(work)-1]
 		work = work[:len(work)-1]
@@ -139,6 +141,7 @@ func checkAppend(pass *framework.Pass, origins *framework.Origins, call *ast.Cal
 				switch id {
 				case "append":
 					if len(root.Args) > 0 {
+						unsized = unsized || nilDeclared(pass, fn, root.Args[0])
 						for _, r := range origins.Roots(root.Args[0]) {
 							work = append(work, r)
 						}
@@ -169,6 +172,30 @@ func checkAppend(pass *framework.Pass, origins *framework.Origins, call *ast.Cal
 		pass.Reportf(call.Pos(),
 			"append to a provably unsized slice on a hotpath: growth reallocates; make it with capacity up front")
 	}
+}
+
+// nilDeclared reports whether e names a local of fn declared without a
+// value (`var s []T`): the declaration is an origin the assignment graph
+// does not record, and it starts the slice nil.
+func nilDeclared(pass *framework.Pass, fn *ast.FuncDecl, e ast.Expr) bool {
+	id, ok := e.(*ast.Ident)
+	if !ok {
+		return false
+	}
+	obj := pass.TypesInfo.ObjectOf(id)
+	if obj == nil || obj.Pos() < fn.Body.Pos() || obj.Pos() >= fn.Body.End() {
+		return false
+	}
+	found := false
+	ast.Inspect(fn.Body, func(n ast.Node) bool {
+		if vs, ok := n.(*ast.ValueSpec); ok && len(vs.Values) == 0 {
+			for _, name := range vs.Names {
+				found = found || pass.TypesInfo.Defs[name] == obj
+			}
+		}
+		return !found
+	})
+	return found
 }
 
 // checkBoxing flags concrete values passed to interface parameters.

@@ -31,6 +31,29 @@ func hotUnsizedAppend(parts [][]byte) []byte {
 	return b
 }
 
+// Flagged: a slice declared without a value starts nil and grows.
+//
+//cfslint:hotpath
+func hotNilSliceAppend(parts [][]byte) []byte {
+	var b []byte
+	for _, p := range parts {
+		b = append(b, p...) // want `append to a provably unsized slice on a hotpath`
+	}
+	return b
+}
+
+// Clean: declared without a value, but sized before the first append.
+//
+//cfslint:hotpath
+func hotNilThenSized(parts [][]byte) []byte {
+	var b []byte
+	b = make([]byte, 0, len(parts))
+	for _, p := range parts {
+		b = append(b, p...)
+	}
+	return b
+}
+
 // Clean: sized up front, the append chain writes in place.
 //
 //cfslint:hotpath

@@ -154,6 +154,9 @@ type Pipeline struct {
 	eng   engine
 	obsIn Observations
 	epoch int
+
+	// hooks observes targeted-round planning; set only by tests.
+	hooks *planHooks
 }
 
 // pipelineMetrics are the CFS loop's observability handles, resolved

@@ -283,12 +283,63 @@ func (st *state) singleCluster(c facset) bool {
 	return ok && first != -1
 }
 
+// roundPlan holds one targeted round's planning tables. Within a round
+// the registry is fixed, an address's owner never changes (alias repair
+// and session pins run between rounds) and the pool only grows, so
+// tables built at the round's start stay valid until it ends.
+type roundPlan struct {
+	st *state
+	// origins lists every origin AS with a non-empty facility footprint,
+	// in ascending ASN order: the universe pickTargets scores.
+	origins []originAS
+	// addrOf maps an AS to its first non-IXP address in the pool, in
+	// pool order; it covers st.pool[:scanned] and catches up lazily as
+	// follow-up paths append to the pool.
+	addrOf  map[world.ASN]netaddr.IP
+	scanned int
+}
+
+// originAS is one origin AS's planning row: its interned footprint, the
+// footprint's size and the IXPs it is a member of.
+type originAS struct {
+	asn   world.ASN
+	foot  facset
+	count int
+	ixps  []world.IXPID
+}
+
+// planHooks lets tests observe every pick and target-address answer of
+// a targeted round, so the round tables can be compared with reference
+// scans mid-round. nil outside tests.
+type planHooks struct {
+	picked    func(rp *roundPlan, ip netaddr.IP, owner world.ASN, fa []world.FacilityID, cand facset, got []world.ASN)
+	addressed func(rp *roundPlan, asn world.ASN, got netaddr.IP, ok bool)
+}
+
+// newRoundPlan builds the planning tables a targeted round starts from.
+func (st *state) newRoundPlan() *roundPlan {
+	rp := &roundPlan{
+		st:      st,
+		origins: make([]originAS, 0, len(st.allASNs)),
+		addrOf:  make(map[world.ASN]netaddr.IP),
+	}
+	db, fs := st.p.db, st.p.fs
+	for _, asn := range st.allASNs {
+		foot := fs.ofAS(db, asn)
+		if n := foot.count(); n > 0 {
+			rp.origins = append(rp.origins, originAS{asn, foot, n, db.IXPsOfAS(asn)})
+		}
+	}
+	return rp
+}
+
 // planTargets runs the target-picking half of Step 4 for one
 // interface: resolve its owner, look up the owner's footprint, and
 // score candidate target ASes. ok is false when the owner or its
 // facility data is unknown, so no follow-up can constrain the
 // interface.
-func (st *state) planTargets(ip netaddr.IP) (targets []world.ASN, ok bool) {
+func (rp *roundPlan) planTargets(ip netaddr.IP) (targets []world.ASN, ok bool) {
+	st := rp.st
 	ownerAS, ok := st.ownerOf(ip)
 	if !ok {
 		return nil, false
@@ -301,7 +352,11 @@ func (st *state) planTargets(ip netaddr.IP) (targets []world.ASN, ok bool) {
 	if cand == nil {
 		cand = st.p.fs.ofAS(st.p.db, ownerAS)
 	}
-	return st.pickTargets(ip, ownerAS, fa, cand), true
+	targets = rp.pickTargets(ip, ownerAS, fa, cand)
+	if h := st.p.hooks; h != nil {
+		h.picked(rp, ip, ownerAS, fa, cand, targets)
+	}
+	return targets, true
 }
 
 // targetedRound implements Step 4: for unresolved interfaces, pick
@@ -320,11 +375,12 @@ func (st *state) targetedRound(iter int) (followUps, newAdjs int) {
 	for _, k := range cfg.Platforms {
 		allowed[k] = true
 	}
+	rp := st.newRoundPlan()
 	for _, ip := range st.unresolved() {
 		if budget <= 0 {
 			break
 		}
-		targets, ok := st.planTargets(ip)
+		targets, ok := rp.planTargets(ip)
 		if !ok {
 			continue
 		}
@@ -332,7 +388,10 @@ func (st *state) targetedRound(iter int) (followUps, newAdjs int) {
 			if budget <= 0 {
 				break
 			}
-			dst, ok := st.targetAddress(tgt)
+			dst, ok := rp.targetAddress(tgt)
+			if h := st.p.hooks; h != nil {
+				h.addressed(rp, tgt, dst, ok)
+			}
 			if !ok {
 				continue
 			}
@@ -372,9 +431,9 @@ func (st *state) targetedRound(iter int) (followUps, newAdjs int) {
 // (paper: {F_target} ⊂ {F_A}) and overlaps — but does not cover — the
 // current candidate set, smallest overlap first, preferring targets not
 // colocated at IXPs already used to constrain this interface.
-func (st *state) pickTargets(ip netaddr.IP, a world.ASN, fa []world.FacilityID, cand facset) []world.ASN {
-	fs := st.p.fs
-	faSet := fs.ofAS(st.p.db, a)
+func (rp *roundPlan) pickTargets(ip netaddr.IP, a world.ASN, fa []world.FacilityID, cand facset) []world.ASN {
+	st := rp.st
+	faSet := st.p.fs.ofAS(st.p.db, a)
 	candN := cand.count()
 	queried := st.queriedIXPs[ip]
 	used := st.usedTargets[ip]
@@ -386,27 +445,24 @@ func (st *state) pickTargets(ip netaddr.IP, a world.ASN, fa []world.FacilityID, 
 		atQuery bool // colocated at an already-queried IXP
 	}
 	var cands []scored
-	for _, rec := range st.allASNs {
-		if rec == a || used[rec] {
+	for i := range rp.origins {
+		o := &rp.origins[i]
+		if o.asn == a || used[o.asn] {
 			continue
 		}
-		ftSet := fs.ofAS(st.p.db, rec)
-		if ftSet.count() == 0 {
-			continue
-		}
-		subset := ftSet.count() < len(fa) && subsetOf(ftSet, faSet)
-		overlap := overlapCount(ftSet, cand)
+		subset := o.count < len(fa) && subsetOf(o.foot, faSet)
+		overlap := overlapCount(o.foot, cand)
 		if overlap == 0 || overlap == candN {
 			continue
 		}
 		atQuery := false
-		for _, ix := range st.p.db.IXPsOfAS(rec) {
+		for _, ix := range o.ixps {
 			if queried[ix] {
 				atQuery = true
 				break
 			}
 		}
-		cands = append(cands, scored{rec, overlap, subset, atQuery})
+		cands = append(cands, scored{o.asn, overlap, subset, atQuery})
 	}
 	sort.Slice(cands, func(i, j int) bool {
 		// Paper preference first: targets whose footprint is a strict
@@ -434,16 +490,26 @@ func (st *state) pickTargets(ip netaddr.IP, a world.ASN, fa []world.FacilityID, 
 	return out
 }
 
-// targetAddress picks "one active IP per prefix" for a target AS: a
-// previously-observed interface when available, otherwise the first
-// host of its announced prefix.
-func (st *state) targetAddress(asn world.ASN) (netaddr.IP, bool) {
-	for _, ip := range st.pool {
-		if o, ok := st.ownerOf(ip); ok && o == asn {
-			if _, isIXP := st.p.db.IXPByIP(ip); !isIXP {
-				return ip, true
-			}
+// targetAddress picks "one active IP per prefix" for a target AS: the
+// first non-IXP interface of that AS in the pool when there is one,
+// otherwise the first host of its announced prefix.
+func (rp *roundPlan) targetAddress(asn world.ASN) (netaddr.IP, bool) {
+	st := rp.st
+	for ; rp.scanned < len(st.pool); rp.scanned++ {
+		ip := st.pool[rp.scanned]
+		o, ok := st.ownerOf(ip)
+		if !ok {
+			continue
 		}
+		if _, have := rp.addrOf[o]; have {
+			continue
+		}
+		if _, isIXP := st.p.db.IXPByIP(ip); !isIXP {
+			rp.addrOf[o] = ip
+		}
+	}
+	if ip, ok := rp.addrOf[asn]; ok {
+		return ip, true
 	}
 	prefixes := st.p.ipasn.PrefixesOf(asn)
 	if len(prefixes) == 0 {

@@ -65,8 +65,8 @@ type state struct {
 	// candidate-set narrowing to it so dependent alias sets re-enqueue.
 	wl *worklist
 
-	// allASNs caches the (static, sorted) origin-AS list the target
-	// scan walks, so the planner doesn't re-sort it per call.
+	// allASNs caches the (static, sorted) origin-AS list each targeted
+	// round builds its planning table from (see roundPlan).
 	allASNs []world.ASN
 
 	// prov records constraint provenance per IP when tracing is on.

@@ -472,6 +472,9 @@ func (e *Engine) recordTraceroute(p *Path, flow uint32) {
 	if !p.Reached {
 		e.m.unreachable.Inc()
 	}
+	if e.m.tracer == nil {
+		return // the fields below allocate; build them only for a tracer
+	}
 	e.m.tracer.Emit("measurement",
 		obs.F("probe", "traceroute"),
 		obs.F("src_router", int(p.SrcRouter)),
@@ -490,36 +493,48 @@ func (e *Engine) recordTraceroute(p *Path, flow uint32) {
 // resolves or routes, so they always land in Probes(); only answered
 // probes contribute RNG draws (keeping the jitter stream independent of
 // accounting).
-func (e *Engine) Ping(srcRouter world.RouterID, dst netaddr.IP, count int) (rtt time.Duration, ok bool) {
+func (e *Engine) Ping(srcRouter world.RouterID, dst netaddr.IP, count int) (time.Duration, bool) {
 	e.ledger.book(count, e.m.pings)
-	defer func() {
-		e.m.tracer.Emit("measurement",
-			obs.F("probe", "ping"),
-			obs.F("src_router", int(srcRouter)),
-			obs.F("dst", dst.String()),
-			obs.F("count", count),
-			obs.F("answered", ok))
-	}()
+	oneWay, ok := e.pingPath(srcRouter, dst)
+	if !ok {
+		e.m.unreachable.Add(int64(count))
+		e.recordPing(srcRouter, dst, count, false)
+		return 0, false
+	}
+	best := time.Duration(-1)
+	for i := 0; i < count; i++ {
+		rng := e.measurementRNG(srcRouter, dst, e.ledger.nextSeq())
+		r := 2*oneWay + hopJitter(rng)
+		if rng.Float64() < congestionProb {
+			r += congestionSpike(rng)
+		}
+		if best < 0 || r < best {
+			best = r
+		}
+	}
+	e.recordPing(srcRouter, dst, count, true)
+	return best, true
+}
+
+// pingPath returns the one-way propagation delay along the router-level
+// path from srcRouter to dst; ok is false when dst does not answer or
+// no route reaches it.
+func (e *Engine) pingPath(srcRouter world.RouterID, dst netaddr.IP) (oneWay time.Duration, ok bool) {
 	dstRtr, reachable := e.resolveDst(dst)
 	if !reachable {
-		e.m.unreachable.Add(int64(count))
 		return 0, false
 	}
 	srcAS := e.w.Routers[srcRouter].AS
 	dstAS := e.w.Routers[dstRtr].AS
 	asPath, haveRoute := e.rt.ASPath(srcAS, dstAS)
 	if !haveRoute {
-		e.m.unreachable.Add(int64(count))
 		return 0, false
 	}
-	// Propagation along the router-level path.
-	oneWay := time.Duration(0)
 	prev := e.w.Routers[srcRouter].Coord
 	cur := srcRouter
 	for i := 0; i+1 < len(asPath); i++ {
 		l := e.selectLink(cur, asPath[i], asPath[i+1], 0)
 		if l == nil {
-			e.m.unreachable.Add(int64(count))
 			return 0, false
 		}
 		near := l.A
@@ -542,18 +557,20 @@ func (e *Engine) Ping(srcRouter world.RouterID, dst netaddr.IP, count int) (rtt 
 	if cur != dstRtr {
 		oneWay += geo.PropagationDelay(prev, e.w.Routers[dstRtr].Coord)
 	}
-	best := time.Duration(-1)
-	for i := 0; i < count; i++ {
-		rng := e.measurementRNG(srcRouter, dst, e.ledger.nextSeq())
-		r := 2*oneWay + hopJitter(rng)
-		if rng.Float64() < congestionProb {
-			r += congestionSpike(rng)
-		}
-		if best < 0 || r < best {
-			best = r
-		}
+	return oneWay, true
+}
+
+// recordPing books a finished ping into the event trace.
+func (e *Engine) recordPing(src world.RouterID, dst netaddr.IP, count int, answered bool) {
+	if e.m.tracer == nil {
+		return // the fields below allocate; build them only for a tracer
 	}
-	return best, true
+	e.m.tracer.Emit("measurement",
+		obs.F("probe", "ping"),
+		obs.F("src_router", int(src)),
+		obs.F("dst", dst.String()),
+		obs.F("count", count),
+		obs.F("answered", answered))
 }
 
 // FabricPing measures the RTT from a member router to another member's
@@ -574,11 +591,13 @@ func (e *Engine) FabricPing(src world.RouterID, port netaddr.IP, count int) (tim
 		return 0, false
 	}
 	e.ledger.book(count, e.m.fabricPings)
-	e.m.tracer.Emit("measurement",
-		obs.F("probe", "fabric_ping"),
-		obs.F("src_router", int(src)),
-		obs.F("dst", port.String()),
-		obs.F("count", count))
+	if e.m.tracer != nil {
+		e.m.tracer.Emit("measurement",
+			obs.F("probe", "fabric_ping"),
+			obs.F("src_router", int(src)),
+			obs.F("dst", port.String()),
+			obs.F("count", count))
+	}
 	// Transport over the fabric: reseller circuits for remote members
 	// stretch roughly the geographic distance between the routers.
 	oneWay := geo.PropagationDelay(e.w.Routers[src].Coord, e.w.Routers[ifc.Router].Coord)
